@@ -110,26 +110,6 @@ MC_GUARD_METHOD = "hstencil-prefetch"
 MC_GUARD_PLAN = SamplePlan(min_measure_points=200_000)
 MC_SPEEDUP_TARGET = 2.0
 
-#: Template-specialized codegen (exec-compiled straight-line replay
-#: kernels, ``REPRO_CODEGEN``) targets.  The measured quantity is the
-#: codegen-off / codegen-on wall-clock ratio with everything else pinned
-#: (memo off, scalar timing), so it isolates the generated kernels from
-#: the memo layers.  Two regimes:
-#:
-#: * fig12-style in-cache iterated cells: the replay scoreboard body
-#:   itself runs ~2.3x faster generated, but the L2-resident working sets
-#:   keep the shared memory-hierarchy helpers (miss fills, LRU churn) on
-#:   the critical path of both sides, flooring the end-to-end ratio at a
-#:   measured ~1.2-1.25x.  The hard floor leaves CI noise room under
-#:   that; the issue's 1.6x aspiration is recorded in the artifact.
-#: * fig16-style multicore scalar walk: longer straight-line traces per
-#:   probe amortize better — measured ~1.4x against the issue's 1.3x
-#:   acceptance floor.
-CODEGEN_INCACHE_TARGET = 1.1
-CODEGEN_INCACHE_ASPIRATION = 1.6
-CODEGEN_MC_TARGET = 1.3
-CODEGEN_GUARD_ROUNDS = 3
-
 #: Small workload for the CI wall-clock regression guard: the full run
 #: records its memo-off / pass-memo ratio in the JSON artifact, the smoke
 #: guard re-measures it and fails when it degrades by more than GUARD_SLACK.
@@ -206,26 +186,18 @@ def _guard_speedup():
     pre-memoization engine, not over the columnar first-pass batching.
     """
     off_s, _, _ = _run_config(
-        "compiled", "off", GUARD_CELLS, iters=GUARD_ITERS, timing="scalar",
-        codegen="off",
+        "compiled", "off", GUARD_CELLS, iters=GUARD_ITERS, timing="scalar"
     )
-    memo_s, _, _ = _run_config(
-        "compiled", "pass", GUARD_CELLS, iters=GUARD_ITERS, codegen="off"
-    )
+    memo_s, _, _ = _run_config("compiled", "pass", GUARD_CELLS, iters=GUARD_ITERS)
     return off_s / memo_s
 
 
-def _multicore_run(timing, codegen="off"):
-    """Wall-clock one fig16-style strong-scaling sweep in ``timing`` mode.
-
-    Codegen is pinned off by default so the recorded scalar/columnar
-    baseline keeps measuring the columnar batching alone; the codegen
-    cell passes ``codegen="on"`` explicitly.
-    """
+def _multicore_run(timing):
+    """Wall-clock one fig16-style strong-scaling sweep in ``timing`` mode."""
     from repro.machine.multicore import MulticoreModel
     from repro.stencils.library import benchmark as stencil_benchmark
 
-    runner = ExperimentRunner(LX2(), cache_dir=None, timing=timing, codegen=codegen)
+    runner = ExperimentRunner(LX2(), cache_dir=None, timing=timing)
     spec = stencil_benchmark(MC_GUARD_STENCIL)
     # Share the runner's engine so columnar plans/memos persist across the
     # sweep's slice heights — the configuration the fig16 bench runs with.
@@ -271,62 +243,6 @@ def _multicore_guard_speedup():
     return sca_s / col_s
 
 
-def _codegen_guard_speedup(rounds=CODEGEN_GUARD_ROUNDS):
-    """Interpreted / generated wall-clock ratio on the in-cache guard cells.
-
-    Interleaved best-of-N with order alternation (load only slows a run
-    down, never speeds one up), memo pinned off and scalar timing so the
-    generated kernels are the only variable.  Every round asserts the two
-    sides' counters are bit-identical, so the guard doubles as an
-    end-to-end codegen correctness check.  Both sides run once unmeasured
-    first so kernel generation and program-pool fills are off the clock.
-    """
-    def run(codegen):
-        return _run_config(
-            "compiled", "off", GUARD_CELLS, iters=GUARD_ITERS,
-            timing="scalar", codegen=codegen,
-        )
-
-    run("off")
-    run("on")
-    off_s = on_s = None
-    for rnd in range(rounds):
-        order = ("off", "on") if rnd % 2 == 0 else ("on", "off")
-        timings = {}
-        counters = {}
-        for codegen in order:
-            timings[codegen], _, counters[codegen] = run(codegen)
-        _assert_identical(GUARD_CELLS, counters["off"], counters["on"], "codegen guard")
-        off_s = timings["off"] if off_s is None else min(off_s, timings["off"])
-        on_s = timings["on"] if on_s is None else min(on_s, timings["on"])
-    return off_s / on_s, off_s, on_s
-
-
-def _codegen_multicore_speedup(rounds=2):
-    """Interpreted / generated ratio on the fig16-style scalar walk sweep.
-
-    Same interleaved best-of-N discipline; each round asserts the scaling
-    points agree exactly between the two sides.
-    """
-    off_s = on_s = None
-    for rnd in range(rounds):
-        order = ("off", "on") if rnd % 2 == 0 else ("on", "off")
-        timings = {}
-        points = {}
-        for codegen in order:
-            s, pts = _multicore_run("scalar", codegen=codegen)
-            timings[codegen] = s
-            points[codegen] = [
-                (p.cores, p.cycles, p.points, p.dram_bytes_per_core) for p in pts
-            ]
-        assert points["on"] == points["off"], (
-            "codegen multicore: scaling points diverge from interpreted walk"
-        )
-        off_s = timings["off"] if off_s is None else min(off_s, timings["off"])
-        on_s = timings["on"] if on_s is None else min(on_s, timings["on"])
-    return off_s / on_s, off_s, on_s
-
-
 def _ooc_guard_speedup(rounds=2):
     """Reference / columnar wall-clock ratio on the out-of-cache guard cell.
 
@@ -342,7 +258,7 @@ def _ooc_guard_speedup(rounds=2):
         )
         c, _, col_counters = _run_config(
             "compiled", "pass", OOC_GUARD_CELLS, plan=OOC_GUARD_PLAN,
-            timing="columnar", codegen="off",
+            timing="columnar",
         )
         _assert_identical(OOC_GUARD_CELLS, ref_counters, col_counters, "ooc guard")
         ref_s = r if ref_s is None else min(ref_s, r)
@@ -525,17 +441,10 @@ def _memo_mode(mode):
             os.environ["REPRO_MEMO"] = saved
 
 
-def _run_config(engine, memo, cells, iters=1, timing=None, plan=None, codegen=None):
-    """Simulate every cell with one configuration; return timing + counters.
-
-    ``codegen=None`` keeps the ambient default (``REPRO_CODEGEN``, normally
-    ``"on"``); runs that serve as recorded-baseline denominators pin
-    ``"off"`` explicitly so the feature under test cannot redefine them.
-    """
+def _run_config(engine, memo, cells, iters=1, timing=None, plan=None):
+    """Simulate every cell with one configuration; return timing + counters."""
     with _memo_mode(memo):
-        runner = ExperimentRunner(
-            LX2(), cache_dir=None, engine=engine, timing=timing, codegen=codegen
-        )
+        runner = ExperimentRunner(LX2(), cache_dir=None, engine=engine, timing=timing)
         start = time.perf_counter()
         results = {cell: runner.measure(*cell, plan=plan, iters=iters) for cell in cells}
         seconds = time.perf_counter() - start
@@ -559,15 +468,10 @@ def test_simspeed_workloads(benchmark, tmp_path):
     # Scalar timing pins the historical pre-memoization baseline; the
     # columnar run measures the first-pass in-cache batching on its own.
     off_s, off_ins, off_counters = _run_config(
-        "compiled", "off", cells, iters=MEMO_ITERS, timing="scalar", codegen="off"
+        "compiled", "off", cells, iters=MEMO_ITERS, timing="scalar"
     )
     col_off_s, col_off_ins, col_off_counters = _run_config(
-        "compiled", "off", cells, iters=MEMO_ITERS, timing="columnar", codegen="off"
-    )
-    # Same memo-off scalar workload with the generated kernels dispatching:
-    # the codegen-off run above is the interpreted-replay denominator.
-    cg_on_s, cg_on_ins, cg_on_counters = _run_config(
-        "compiled", "off", cells, iters=MEMO_ITERS, timing="scalar", codegen="on"
+        "compiled", "off", cells, iters=MEMO_ITERS, timing="columnar"
     )
 
     # -- in-cache, iters=16: compiled + pass memo (the benchmarked engine) --
@@ -579,13 +483,12 @@ def test_simspeed_workloads(benchmark, tmp_path):
     )
 
     # Bit-identity: same instructions simulated, same counters everywhere.
-    assert memo_ins == ref_ins == off_ins == col_off_ins == cg_on_ins
+    assert memo_ins == ref_ins == off_ins == col_off_ins
     _assert_identical(cells, ref_counters, off_counters, "compiled/off vs reference")
     _assert_identical(
         cells, ref_counters, col_off_counters, "compiled/off columnar vs reference"
     )
     _assert_identical(cells, ref_counters, memo_counters, "compiled/pass vs reference")
-    _assert_identical(cells, ref_counters, cg_on_counters, "codegen vs reference")
 
     # -- out-of-cache, band-sampled: reference vs both replay modes --------
     ooc_cells = [(m, OOC_STENCIL, OOC_SHAPE) for m in OOC_METHODS]
@@ -606,10 +509,6 @@ def test_simspeed_workloads(benchmark, tmp_path):
     # -- multicore (fig16-style) sweep: scalar vs columnar wall-clock ------
     mc_sca_s, mc_col_s, mc_sca_pts, mc_col_pts = _multicore_best()
     mc_speedup = mc_sca_s / mc_col_s
-
-    # -- codegen: generated kernels vs interpreted replay ------------------
-    cg_speedup = off_s / cg_on_s
-    cg_mc_speedup, cg_mc_off_s, cg_mc_on_s = _codegen_multicore_speedup()
 
     # -- AOT artifact store: cold vs warm precompile of the registry -------
     aot_cold, aot_warm, aot_ratio = _aot_coldstart(SUITE_2D, tmp_path / "aot")
@@ -678,13 +577,6 @@ def test_simspeed_workloads(benchmark, tmp_path):
         f"{MC_GUARD_SIZE}^2, cores {MC_GUARD_CORES}): columnar {mc_col_s:.2f}s "
         f"vs scalar {mc_sca_s:.2f}s ({mc_speedup:.2f}x, "
         f"target >= {MC_SPEEDUP_TARGET:.1f}x)"
-        + f"\ncodegen kernels, in-cache memo-off scalar workload: generated "
-        f"{cg_on_s:.2f}s vs interpreted {off_s:.2f}s ({cg_speedup:.2f}x, "
-        f"floor >= {CODEGEN_INCACHE_TARGET:.1f}x, issue aspiration "
-        f"{CODEGEN_INCACHE_ASPIRATION:.1f}x)"
-        + f"\ncodegen kernels, multicore scalar walk: generated "
-        f"{cg_mc_on_s:.2f}s vs interpreted {cg_mc_off_s:.2f}s "
-        f"({cg_mc_speedup:.2f}x, target >= {CODEGEN_MC_TARGET:.1f}x)"
         + f"\nAOT artifact store cold start (registry x LX2/M4 x fig12 "
         f"suite): cold {aot_cold['wall_seconds']:.1f}s wall "
         f"({aot_cold['fit_seconds'] + aot_cold['lower_seconds']:.2f}s "
@@ -774,22 +666,6 @@ def test_simspeed_workloads(benchmark, tmp_path):
                 "guard_speedup_target": FULLGRID_GUARD_SPEEDUP_TARGET,
                 "steady_stats": fg_stats.to_dict(),
             },
-            "codegen": {
-                "incache": {
-                    "interpreted_seconds": off_s,
-                    "generated_seconds": cg_on_s,
-                    "speedup": cg_speedup,
-                    "speedup_target": CODEGEN_INCACHE_TARGET,
-                    "issue_aspiration": CODEGEN_INCACHE_ASPIRATION,
-                },
-                "multicore_scalar": {
-                    "interpreted_seconds": cg_mc_off_s,
-                    "generated_seconds": cg_mc_on_s,
-                    "speedup": cg_mc_speedup,
-                    "speedup_target": CODEGEN_MC_TARGET,
-                },
-                "slack": GUARD_SLACK,
-            },
             "multicore": {
                 "method": MC_GUARD_METHOD,
                 "stencil": MC_GUARD_STENCIL,
@@ -840,8 +716,6 @@ def test_simspeed_workloads(benchmark, tmp_path):
     assert fg_speedup >= FULLGRID_SPEEDUP_TARGET
     assert ooc_guard_speedup >= OOC_GUARD_SPEEDUP_TARGET
     assert mc_speedup >= MC_SPEEDUP_TARGET
-    assert cg_speedup >= CODEGEN_INCACHE_TARGET
-    assert cg_mc_speedup >= CODEGEN_MC_TARGET
     assert aot_warm["compiled_classes"] == 0, "warm store still compiled live"
     assert aot_ratio >= AOT_SPEEDUP_TARGET
     assert svc_speedup >= SERVICE_THROUGHPUT_TARGET
@@ -969,62 +843,6 @@ def test_smoke_simspeed_multicore_wallclock_guard():
         f"multicore columnar speedup regressed: measured {measured:.2f}x, "
         f"recorded {recorded['speedup']:.2f}x, floor {floor:.2f}x"
     )
-
-
-def test_smoke_simspeed_codegen_incache_guard(tmp_path):
-    """CI guard for the template-specialized codegen backend.
-
-    Needs no recorded baseline: the interpreted / generated ratio is
-    taken between interleaved same-process runs on the guard cells with
-    memo pinned off, so it transfers across hardware, and the helper
-    asserts bit-identical counters on every round.  The floor sits under
-    the measured ~1.2-1.25x in-cache ratio (the issue's 1.6x aspiration
-    is tracked in the full artifact); a demotion storm or a generated
-    kernel losing to the interpreter drops the ratio to <= 1.0 and fails
-    far below it.
-
-    The second half pins the AOT pooling contract: after a cold run
-    against a fresh store, a fresh process-equivalent (cleared pools and
-    counters) must serve every shape class from the store with *zero*
-    live generations and no demotions.
-    """
-    from repro.machine.artifacts import install_artifact_store
-    from repro.machine.codegen import codegen_stats, reset_codegen_stats
-    from repro.machine.compiled import clear_program_pool
-
-    speedup, off_s, on_s = _codegen_guard_speedup()
-    assert speedup >= CODEGEN_INCACHE_TARGET, (
-        f"codegen speedup {speedup:.2f}x below floor "
-        f"{CODEGEN_INCACHE_TARGET:.1f}x (interpreted {off_s:.2f}s, "
-        f"generated {on_s:.2f}s)"
-    )
-
-    try:
-        install_artifact_store(str(tmp_path))
-        clear_program_pool(reset_stats=True)
-        reset_codegen_stats()
-        _, _, cold_counters = _run_config(
-            "compiled", "off", GUARD_CELLS, timing="scalar", codegen="on"
-        )
-        cold = codegen_stats()
-        assert cold["generated"] >= 1
-        assert cold["store_writes"] == cold["generated"]
-        clear_program_pool(reset_stats=True)
-        reset_codegen_stats()
-        _, _, warm_counters = _run_config(
-            "compiled", "off", GUARD_CELLS, timing="scalar", codegen="on"
-        )
-        warm = codegen_stats()
-        _assert_identical(GUARD_CELLS, cold_counters, warm_counters, "codegen warm load")
-        assert warm["generated"] == 0, (
-            f"warm store still generated {warm['generated']} kernels live"
-        )
-        assert warm["loaded"] == cold["generated"]
-        assert warm["demoted"] == 0 and warm["exec_failed"] == 0
-    finally:
-        install_artifact_store(None)
-        clear_program_pool(reset_stats=True)
-        reset_codegen_stats()
 
 
 def test_smoke_simspeed_aot_coldstart_guard(tmp_path):

@@ -62,7 +62,6 @@ def cache_key(
     engine: Optional[str] = None,
     sample: Optional[bool] = None,
     steady: Optional[str] = None,
-    codegen: Optional[str] = None,
 ) -> Tuple[str, Dict]:
     """Digest + canonical inputs for one ``(machine, cell)`` measurement.
 
@@ -71,9 +70,8 @@ def cache_key(
     may serve the other's cells — ``tests/test_smoke_simspeed.py`` pins
     this) but it is recorded in the returned inputs so stored entries say
     which engine produced them.  ``sample`` (an explicit sampling override;
-    ``None`` is the automatic size-based choice), ``steady`` (the
-    band-periodic elision mode, default ``"on"``) and ``codegen`` (the
-    exec-compiled replay-kernel mode, default ``"on"``) are keyed only when
+    ``None`` is the automatic size-based choice) and ``steady`` (the
+    band-periodic elision mode, default ``"on"``) are keyed only when
     non-default, so entries written before those knobs existed stay valid —
     and, as with ``timing``, a steady-elision divergence could never be
     masked by a cache hit from the other mode.
@@ -104,8 +102,6 @@ def cache_key(
         inputs["sample"] = bool(sample)
     if steady is not None and steady != "on":
         inputs["steady"] = steady
-    if codegen is not None and codegen != "on":
-        inputs["codegen"] = codegen
     blob = json.dumps(inputs, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()
     if engine is not None:

@@ -76,7 +76,6 @@ def _init_worker(
     action="measure",
     steady=None,
     sample=None,
-    codegen=None,
 ) -> None:
     global _WORKER_RUNNER, _WORKER_ARGS
     from repro.bench.runner import ExperimentRunner
@@ -89,7 +88,6 @@ def _init_worker(
         timing=timing,
         steady=steady,
         sample=sample,
-        codegen=codegen,
         artifact_dir=artifact_dir,
     )
     _WORKER_ARGS = (warm, plan, action)
@@ -155,7 +153,6 @@ def _run_cells_pooled(
     action,
     steady,
     sample,
-    codegen,
 ) -> None:
     """Drive one batch job through a short-lived stencil service.
 
@@ -176,7 +173,6 @@ def _run_cells_pooled(
         timing=timing,
         steady=steady,
         sample=sample,
-        codegen=codegen,
     )
 
     async def drive() -> None:
@@ -217,7 +213,6 @@ def run_cells(
     timing: Optional[str] = None,
     steady: Optional[str] = None,
     sample: Optional[bool] = None,
-    codegen: Optional[str] = None,
     artifact_dir=None,
     action: str = "measure",
 ) -> List[CellResult]:
@@ -260,7 +255,7 @@ def run_cells(
         else:
             _init_worker(
                 machine, options, cache_dir, warm, plan, engine, timing,
-                artifact_dir, action, steady, sample, codegen,
+                artifact_dir, action, steady, sample,
             )
         try:
             for item in indexed:
@@ -285,7 +280,6 @@ def run_cells(
             action,
             steady,
             sample,
-            codegen,
         )
         if runner is not None and action == "measure":
             for result in results:

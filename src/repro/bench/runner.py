@@ -63,7 +63,6 @@ class ExperimentRunner:
         timing: Optional[str] = None,
         steady: Optional[str] = None,
         sample: Optional[bool] = None,
-        codegen: Optional[str] = None,
         artifact_dir=None,
     ) -> None:
         self.machine = machine if machine is not None else LX2()
@@ -89,7 +88,6 @@ class ExperimentRunner:
             engine=engine,
             timing=timing,
             steady=steady,
-            codegen=codegen,
             artifact_dir=artifact_dir,
         )
         self.disk_cache = MeasurementCache(cache_dir) if cache_dir else None
@@ -145,7 +143,6 @@ class ExperimentRunner:
                 self.machine, method, stencil, tuple(shape), self.options, plan, warm,
                 iters=iters, timing=self.engine.timing, engine=self.engine.engine,
                 sample=self.sample, steady=self.engine.steady,
-                codegen=self.engine.codegen,
             )
             counters = self.disk_cache.load(disk_key)
 
@@ -226,7 +223,6 @@ class ExperimentRunner:
             timing=self.engine.timing,
             steady=self.engine.steady,
             sample=self.sample,
-            codegen=self.engine.codegen,
             artifact_dir=self.artifact_dir,
         )
 
@@ -270,20 +266,7 @@ class ExperimentRunner:
                 timing_program = template.timing_program(self.machine)
                 if timing_program is not None:
                     templated += 1
-                functional_program = template.functional_program()
-                if self.engine.codegen == "on":
-                    # Also emit (and persist) the exec-compiled replay
-                    # kernels so service workers and later measurement
-                    # processes start from warm codegen artifacts.
-                    from repro.machine.codegen import (
-                        install_functional,
-                        install_timing,
-                    )
-
-                    if timing_program is not None:
-                        install_timing(timing_program, self.machine)
-                    if functional_program is not None:
-                        install_functional(functional_program)
+                template.functional_program()
             if not restart:
                 break
         return {
@@ -319,7 +302,6 @@ class ExperimentRunner:
             timing=self.engine.timing,
             steady=self.engine.steady,
             sample=self.sample,
-            codegen=self.engine.codegen,
             artifact_dir=self.artifact_dir,
             action="precompile",
         )
@@ -417,7 +399,6 @@ class ExperimentRunner:
         """Compile-layer counters: artifact store, program pool, templates."""
         from repro.kernels.template import compile_stats
         from repro.machine.artifacts import active_store
-        from repro.machine.codegen import codegen_stats
         from repro.machine.compiled import program_pool_stats
 
         store = active_store()
@@ -425,5 +406,4 @@ class ExperimentRunner:
             "store": store.stats() if store is not None else None,
             "program_pool": program_pool_stats(),
             "templates": compile_stats(),
-            "codegen": codegen_stats(),
         }

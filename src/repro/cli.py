@@ -99,7 +99,6 @@ def _runner(args) -> ExperimentRunner:
         timing=getattr(args, "timing", None),
         steady=getattr(args, "steady", None),
         sample=getattr(args, "sample", None),
-        codegen=getattr(args, "codegen", None),
         artifact_dir=_dir_arg(args, "artifact_dir"),
     )
 
@@ -272,7 +271,6 @@ def cmd_scaling(args) -> int:
         engine=args.engine,
         timing=args.timing,
         steady=getattr(args, "steady", None),
-        codegen=getattr(args, "codegen", None),
         artifact_dir=_dir_arg(args, "artifact_dir"),
     )
     points = mc.series_from_slices(slices, n, cores)
@@ -333,7 +331,6 @@ def cmd_precompile(args) -> int:
             timing=getattr(args, "timing", None),
             steady=getattr(args, "steady", None),
             sample=getattr(args, "sample", None),
-            codegen=getattr(args, "codegen", None),
             artifact_dir=artifact_dir,
         )
         results = runner.precompile(cells, jobs=args.jobs, progress=args.jobs > 1)
@@ -376,7 +373,6 @@ def cmd_serve(args) -> int:
         timing=getattr(args, "timing", None),
         steady=getattr(args, "steady", None),
         sample=getattr(args, "sample", None),
-        codegen=getattr(args, "codegen", None),
     )
 
     async def main_async() -> None:
@@ -566,13 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
             "timing for every cell (default: automatic by grid size)",
         )
         p.add_argument(
-            "--codegen",
-            choices=["on", "off"],
-            default=None,
-            help="exec-compiled straight-line replay kernels "
-            "(default: REPRO_CODEGEN env var, then on; bit-identical either way)",
-        )
-        p.add_argument(
             "--artifact-dir",
             default=None,
             help="compiled-artifact store directory (templates, lowered "
@@ -655,11 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample", action=argparse.BooleanOptionalAction, default=None,
         help="force band-sampled (--sample) or full exact (--no-sample) timing",
     )
-    p.add_argument(
-        "--codegen", choices=["on", "off"], default=None,
-        help="exec-compiled straight-line replay kernels "
-        "(default: REPRO_CODEGEN env var, then on)",
-    )
     _engine_arg(p)
 
     p = sub.add_parser("submit", help="submit cells to a running service")
@@ -723,7 +707,6 @@ def _print_compile_stats() -> None:
     """Compile-layer counters appended to every --profile run."""
     from repro.kernels.template import compile_stats
     from repro.machine.artifacts import active_store
-    from repro.machine.codegen import codegen_stats
     from repro.machine.compiled import program_pool_stats
 
     pool = program_pool_stats()
@@ -732,14 +715,6 @@ def _print_compile_stats() -> None:
         f"{pool['hits']} hits / {pool['misses']} misses / {pool['builds']} builds "
         f"({pool['build_seconds']:.3f}s), {pool['evictions']} evictions, "
         f"store {pool['store_hits']} hits / {pool['store_writes']} writes"
-    )
-    cg = codegen_stats()
-    print(
-        "codegen pool: "
-        f"{cg['generated']} generated / {cg['loaded']} loaded / "
-        f"{cg['exec_failed']} exec-failed / {cg['demoted']} demoted "
-        f"({cg['verified']} verified, {cg['chunk_generated']} chunk kernels, "
-        f"{cg['chunk_demoted']} chunk demotions)"
     )
     tmpl = compile_stats()
     print(

@@ -261,7 +261,7 @@ def scan_tree(root) -> Dict:
 
     The aggregate keys are kept for existing consumers; ``kinds`` breaks
     entry counts and byte sizes down per artifact kind (``timing``,
-    ``functional``, ``templates``, ``codegen``, ``steady``, ...).
+    ``functional``, ``templates``, ``steady``, ...).
     """
     root = Path(root)
     entries = 0

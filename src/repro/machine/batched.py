@@ -228,9 +228,6 @@ class BatchReplayer:
         engine = self.engine
         self.sequential_blocks += len(addrs_list)
         for addrs in addrs_list:
-            # The per-block fallback goes through the engine's dispatcher, so
-            # with codegen enabled these blocks run the exec-compiled kernel
-            # (probe-verified on first use) rather than the opcode loop.
             engine.execute_template(program, addrs)
 
     # ------------------------------------------------------------------

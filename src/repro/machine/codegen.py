@@ -1,121 +1,20 @@
-"""Template-specialized code generation for the trace-replay engines.
+"""Counters of the retired exec-compiled replay tier, all zero.
 
-The compiled replay layer (:mod:`repro.machine.compiled`) lowered traces to
-flat opcode arrays, but both program flavours are still *interpreted*: a
-``for step in program.steps`` loop with per-step tuple unpacking and opcode
-dispatch.  This module removes that last layer of interpretation the same
-way the vectorization literature removes per-element dispatch — by
-specializing on the access pattern.  For each probe-verified shape class it
-emits a straight-line Python function from the lowered program:
+The simulator used to replay probe-verified shape classes through
+generated straight-line Python kernels.  The tier was removed because the
+``compile`` cost every fresh process paid outweighed what the kernels won
+back (see ``docs/architecture.md``); the interpreted replays in
+:mod:`repro.machine.pipeline`, :mod:`repro.machine.functional` and
+:mod:`repro.machine.columnar` are now the only paths.
 
-* every step unrolled, with register/slot indices, latencies, initiation
-  intervals, issue width and miss penalties inlined as literals;
-* scoreboard slots and single-pipe port frontiers held in plain locals
-  instead of list/dict entries;
-* statically dominated dependence checks pruned: issue times are monotone
-  within a straight-line replay, so a dependence on a constant-latency
-  writer is dropped whenever a later step in the same dependence set
-  completes no earlier (equal-latency accumulator fans collapse to their
-  last writer, and zero-latency writers never outrun the frontier);
-* the L1 cache-probe and stream-prefetcher training fully inlined at each
-  memory operation (multi-line walks keep their loops — line counts are
-  address-dependent — but with all cache geometry folded to shift/mask
-  literals); the one-time ``compile()`` cost of the large source is
-  amortized by a process-wide compiled-function cache;
-* guarded branches only where the trace actually branches (a step with no
-  dependences emits no dependence compare at all).
-
-The source is ``compile()``/``exec``-ed once and installed next to the
-interpreted program on the :class:`~repro.machine.compiled.TimingProgram` /
-:class:`~repro.machine.compiled.FunctionalProgram` object, so every pool
-and memo layer keyed on program identity sees exactly one kernel per class.
-
-Correctness follows the probe-verify-or-demote contract every prior engine
-uses.  A generated kernel is never trusted until its first live use: the
-timing flavour runs the generated function on a :meth:`PipelineModel.clone`
-while the interpreted walk advances the real pipe, then compares the full
-structural state (scoreboard, port frontiers, caches including LRU ticks,
-dirty sets, stream table order, every counter).  The functional flavour
-snapshots the touched architectural state, runs the generated function,
-captures, restores, replays interpreted and compares bit-for-bit.  The
-interpreted result always stands; any mismatch, raised exception, or
-``compile`` failure demotes the class permanently to the interpreted
-program.  Columnar Phase-P chunk bodies get the same treatment in
-:mod:`repro.machine.columnar` (generated chunk walks verify against the
-interpreted ``_scoreboard_walk`` on first use).
-
-Generated source persists as artifact kind ``"codegen"`` in the AOT store
-(:mod:`repro.machine.artifacts`): the payload carries the source, a sha256
-over it, the generator version and a content digest over the program
-payload + version.  Loads re-check all three and demote on tamper or
-version skew; a loaded kernel still pays the one-live-emit probe before
-being trusted.  ``repro precompile`` therefore ships warm kernels and
-service workers never pay generation cost.
+``perfbench/tracing.py`` still reads :func:`codegen_stats` for its
+``machine.codegen.*`` per-layer metrics.  This stub goes when a benchmark
+change drops those metrics.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.isa.registers import SVL_LANES
-from repro.machine import artifacts
-from repro.machine.compiled import (
-    F_CONST,
-    F_EXT,
-    F_FADD,
-    F_FMLA,
-    F_FMLA_IDX,
-    F_FMLA_M,
-    F_FMOPA,
-    F_FMUL_IDX,
-    F_LD,
-    F_LD_STRIDED,
-    F_LD_TAIL,
-    F_MOVA_TV,
-    F_MOVA_VT,
-    F_ST,
-    F_ST_SLICE,
-    F_ZERO,
-    K_LOAD,
-    K_PRFM,
-    K_STORE,
-    SCOREBOARD_KEYS,
-    FunctionalProgram,
-    TimingProgram,
-    functional_program_to_payload,
-    timing_program_to_payload,
-)
-from repro.machine.config import MachineConfig
-from repro.machine.memory import PAGE_WORDS
-from repro.machine.prefetcher import LINES_PER_PAGE, _Stream
-
-# -- mode plumbing ------------------------------------------------------------
-
-CODEGEN_MODES = ("on", "off")
-
-#: Bump whenever the generated-source shape changes; skewed store entries
-#: demote rather than mislead (belt and braces — the artifact meta's
-#: code_version already re-keys every digest on source edits).
-CODEGEN_VERSION = 2
-
-
-def default_codegen() -> str:
-    """Codegen mode from ``REPRO_CODEGEN`` (default ``"on"``)."""
-    mode = os.environ.get("REPRO_CODEGEN", "on")
-    if mode not in CODEGEN_MODES:
-        raise ValueError(
-            f"REPRO_CODEGEN must be one of {CODEGEN_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-# -- counters -----------------------------------------------------------------
+from typing import Dict
 
 _STATS_KEYS = (
     "generated",
@@ -128,1057 +27,7 @@ _STATS_KEYS = (
     "chunk_demoted",
 )
 
-CODEGEN_STATS: Dict[str, int] = {key: 0 for key in _STATS_KEYS}
-
 
 def codegen_stats() -> Dict[str, int]:
-    """Process-wide codegen pool counters (copy)."""
-    return dict(CODEGEN_STATS)
-
-
-def reset_codegen_stats() -> None:
-    """Zero the codegen counters (tests)."""
-    for key in _STATS_KEYS:
-        CODEGEN_STATS[key] = 0
-
-
-class CodegenState:
-    """Per-program generated-kernel state, installed on the program object.
-
-    ``fn`` is the compiled kernel (``None`` once demoted), ``verified``
-    flips after the one-live-emit probe passes, and ``demoted`` is the
-    permanent per-class kill switch.  ``chunk_fns`` maps columnar chunk
-    indices to their generated walk functions (``False`` marks a chunk
-    that failed its own verification).
-    """
-
-    __slots__ = ("fn", "source", "verified", "demoted", "chunk_fns")
-
-    def __init__(self, fn=None, source: Optional[str] = None, demoted: bool = False) -> None:
-        self.fn = fn
-        self.source = source
-        self.verified = False
-        self.demoted = demoted
-        self.chunk_fns: Dict[int, object] = {}
-
-    def demote(self) -> None:
-        if not self.demoted:
-            self.demoted = True
-            self.fn = None
-            self.chunk_fns.clear()
-            CODEGEN_STATS["demoted"] += 1
-
-
-# -- shared emitter helpers ---------------------------------------------------
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _content_digest(payload: Dict) -> str:
-    """Content digest over a program payload + the codegen version."""
-    blob = json.dumps(payload, sort_keys=True) + f"|codegen-v{CODEGEN_VERSION}"
-    return _sha256(blob)
-
-
-#: Process-wide compiled-function cache.  Emission is cheap (string
-#: concatenation); ``compile()`` of a multi-thousand-line kernel is not
-#: (~tens of ms).  Address-specialized shape classes re-lower into *new*
-#: program objects every run, but their generated source is identical —
-#: keying on the source hash (plus whatever the exec namespace bakes in)
-#: makes regeneration pay only emission, never recompilation.
-_FN_CACHE: "OrderedDict[Tuple, object]" = OrderedDict()
-_FN_CACHE_CAP = 1024
-
-
-def _compile_fn(source: str, namespace: Dict, name: str = "__kernel", cache_key=None):
-    """``compile``/``exec`` a generated source; ``None`` on any failure.
-
-    ``cache_key`` (when given) must capture everything the resulting
-    function closes over besides the source text — the namespace values
-    that vary per program (port tuples, constant arrays).  Equal key +
-    equal source means the compiled function is interchangeable.
-    """
-    if cache_key is not None:
-        key = (name, _sha256(source), cache_key)
-        fn = _FN_CACHE.get(key)
-        if fn is not None:
-            _FN_CACHE.move_to_end(key)
-            return fn
-    try:
-        code = compile(source, "<repro-codegen>", "exec")
-        scope = dict(namespace)
-        exec(code, scope)
-        fn = scope[name]
-    except Exception:
-        return None
-    if cache_key is not None:
-        _FN_CACHE[key] = fn
-        if len(_FN_CACHE) > _FN_CACHE_CAP:
-            _FN_CACHE.popitem(last=False)
-    return fn
-
-
-class _Emitter:
-    """Tiny indented-source builder."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-
-    def emit(self, depth: int, text: str) -> None:
-        self.lines.append("    " * depth + text)
-
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-# -- timing kernel emitter ----------------------------------------------------
-
-
-def _emit_train(e: _Emitter, d: int, n1: int, n2: int) -> None:
-    """Inlined stream-prefetcher training for one line (locals: line, hit).
-
-    Fully inlined — every outcome (table hit, advance + prefetch issue,
-    allocate, nothing) runs without a call frame, with the set counts and
-    lines-per-page folded to literals.  The one-time ``compile()`` cost of
-    the larger source is amortized by the process-wide function cache.
-    """
-    e.emit(d, "stream = pf_get(line)")
-    e.emit(d, "if stream is not None:")
-    e.emit(d + 1, "pf_move(line)")
-    e.emit(d, "else:")
-    e.emit(d + 1, "stream = pf_get(line - 1)")
-    e.emit(d + 1, "if stream is not None:")
-    e.emit(d + 2, "del pf_streams[line - 1]")
-    e.emit(d + 2, "adv = stream.advances + 1")
-    e.emit(d + 2, "stream.advances = adv")
-    e.emit(d + 2, "stream.tail_line = line")
-    e.emit(d + 2, "pf_streams[line] = stream")
-    e.emit(d + 2, "if adv == pf_confirm:")
-    e.emit(d + 3, "pf.streams_confirmed += 1")
-    e.emit(d + 2, "if adv >= pf_confirm:")
-    e.emit(d + 3, f"page = line // {LINES_PER_PAGE}")
-    e.emit(d + 3, "for target in range(line + 1, line + pf_depth + 1):")
-    e.emit(d + 4, f"if target // {LINES_PER_PAGE} != page:")
-    e.emit(d + 5, "break")
-    e.emit(d + 4, f"if target not in l1_sets[{_mod_expr('target', n1)}]:")
-    e.emit(d + 5, "if watch is not None and target in watch:")
-    e.emit(d + 6, "hierarchy.static_watch_hits += 1")
-    e.emit(d + 5, f"ways2 = l2_sets[{_mod_expr('target', n2)}]")
-    e.emit(d + 5, "if target in ways2:")
-    e.emit(d + 6, "l2._tick += 1")
-    e.emit(d + 6, "ways2[target] = l2._tick")
-    e.emit(d + 5, "else:")
-    e.emit(d + 6, "hierarchy.mem_lines_read += 1")
-    e.emit(d + 6, "fill_l2(target)")
-    e.emit(d + 5, "fill_l1(target, False)")
-    e.emit(d + 5, "l1_stats.prefetch_fills += 1")
-    e.emit(d + 4, "pf.prefetches_issued += 1")
-    e.emit(d + 1, "elif not hit:")
-    e.emit(d + 2, "pf_streams[line] = _Stream(tail_line=line)")
-    e.emit(d + 2, "pf.streams_allocated += 1")
-    e.emit(d + 2, "if len(pf_streams) > pf_max:")
-    e.emit(d + 2, "    pf_streams.popitem(last=False)")
-
-
-def _div_expr(expr: str, div: int) -> str:
-    """Word-address -> line-index expression; shift when the divisor allows.
-
-    Addresses are non-negative, so ``>>`` and ``//`` agree for powers of
-    two — and the shift skips CPython's general division path.
-    """
-    if div > 0 and div & (div - 1) == 0:
-        return f"({expr}) >> {div.bit_length() - 1}"
-    return f"({expr}) // {div}"
-
-
-def _mod_expr(var: str, mod: int) -> str:
-    """Set-index expression; mask when the modulus is a power of two."""
-    if mod > 0 and mod & (mod - 1) == 0:
-        return f"{var} & {mod - 1}"
-    return f"{var} % {mod}"
-
-
-def _emit_l1_probe(
-    e: _Emitter, d: int, is_store: bool, level_assign: bool, n1: int,
-    count_da: bool = True,
-) -> None:
-    """Inlined single-line L1 probe (local: line; updates level/da/dh).
-
-    ``level_assign`` emits ``level = miss(...)`` (single-line memop, level
-    starts at 1) instead of the max-accumulating multi-line form.
-    ``count_da`` is off when the demand-access count is statically folded
-    (single-line memops contribute exactly one access each).
-    """
-    if count_da:
-        e.emit(d, "da += 1")
-    e.emit(d, f"ways = l1_sets[{_mod_expr('line', n1)}]")
-    e.emit(d, "if line in ways:")
-    e.emit(d + 1, "l1._tick += 1")
-    e.emit(d + 1, "ways[line] = l1._tick")
-    e.emit(d + 1, "dh += 1")
-    if is_store:
-        e.emit(d + 1, "l1_dirty.add(line)")
-    e.emit(d, "else:")
-    if level_assign:
-        e.emit(d + 1, f"level = access_line_miss(line, {is_store})")
-    else:
-        e.emit(d + 1, f"lv = access_line_miss(line, {is_store})")
-        e.emit(d + 1, "if lv > level:")
-        e.emit(d + 2, "level = lv")
-
-
-def _pruned_deps(
-    dep_slots: Sequence[int],
-    last_writer: Dict[int, int],
-    wmin: Sequence[Tuple[bool, int]],
-) -> List[int]:
-    """Statically prune a step's dependence set.
-
-    ``last_writer`` maps slot -> index of its most recent in-call writer;
-    ``wmin[i]`` is ``(exact, c)`` for step ``i``: completion is exactly
-    ``t_i + c`` when exact (fixed-latency op), at least that otherwise
-    (loads, whose miss penalty is unbounded above).  Issue times are
-    monotone along a straight-line replay, so for writers ``i < k`` in the
-    same dependence set, ``done_k >= done_i`` holds statically whenever
-    ``i`` is exact and ``c_k >= c_i`` — the dep on ``i`` can never decide
-    the max and is dropped (equal-latency accumulator fans collapse to
-    their last writer).  An exact zero-latency writer completes at its own
-    issue time, which the entry frontier already covers.  Slots never
-    written in this call stay: their values are runtime state.  Slots
-    sharing one writer share one completion time, so each writer
-    contributes once.
-    """
-    entry: List[int] = []
-    by_writer: Dict[int, int] = {}
-    for s in sorted(set(dep_slots)):
-        w = last_writer.get(s)
-        if w is None:
-            entry.append(s)
-        else:
-            by_writer.setdefault(w, s)
-    writers = sorted(by_writer)
-    kept: List[int] = []
-    for idx, i in enumerate(writers):
-        exact, ci = wmin[i]
-        if exact:
-            if ci == 0:
-                continue
-            if any(wmin[k][1] >= ci for k in writers[idx + 1:]):
-                continue
-        kept.append(by_writer[i])
-    return entry + kept
-
-
-def _emit_memop_single(
-    e: _Emitter, d: int, ai: int, offset: int, is_store: bool, track_worst: bool,
-    lw: int, n1: int, n2: int,
-) -> None:
-    """One single-line memop: probe, then train, then worst-accumulate."""
-    expr = f"addrs[{ai}]" if offset == 0 else f"addrs[{ai}] + {offset}"
-    e.emit(d, f"line = {_div_expr(expr, lw)}")
-    e.emit(d, "level = 1")
-    _emit_l1_probe(e, d, is_store, level_assign=True, n1=n1, count_da=False)
-    e.emit(d, "if pf_on:")
-    e.emit(d + 1, "hit = level == 1")
-    _emit_train(e, d + 1, n1, n2)
-    if track_worst:
-        e.emit(d, "if level > worst:")
-        e.emit(d + 1, "worst = level")
-
-
-def _emit_memop_multi(
-    e: _Emitter, d: int, ai: int, offset: int, nwords: int, is_store: bool,
-    track_worst: bool, lw: int, n1: int, n2: int,
-) -> None:
-    """One multi-line memop: probe every line, then train every line."""
-    expr = f"addrs[{ai}]" if offset == 0 else f"addrs[{ai}] + {offset}"
-    e.emit(d, f"addr = {expr}")
-    e.emit(d, f"line = {_div_expr('addr', lw)}")
-    e.emit(d, f"last = {_div_expr(f'addr + {nwords - 1}', lw)}")
-    e.emit(d, "level = 1")
-    e.emit(d, "while True:")
-    _emit_l1_probe(e, d + 1, is_store, level_assign=False, n1=n1)
-    e.emit(d + 1, "if line == last:")
-    e.emit(d + 2, "break")
-    e.emit(d + 1, "line += 1")
-    e.emit(d, "if pf_on:")
-    e.emit(d + 1, "hit = level == 1")
-    e.emit(d + 1, f"line = {_div_expr('addr', lw)}")
-    e.emit(d + 1, "while True:")
-    _emit_train(e, d + 2, n1, n2)
-    e.emit(d + 2, "if line == last:")
-    e.emit(d + 3, "break")
-    e.emit(d + 2, "line += 1")
-    if track_worst:
-        e.emit(d, "if level > worst:")
-        e.emit(d + 1, "worst = level")
-
-
-def timing_kernel_source(program: TimingProgram, config: MachineConfig) -> str:
-    """Emit the specialized straight-line source for a timing program.
-
-    The function mirrors ``PipelineModel.process_template`` operation for
-    operation; everything the interpreted loop resolves per step (slot
-    indices, pipe counts, latencies, issue width, miss penalties, memop
-    descriptors) is folded into the source as literals.
-    """
-    live = sorted({s for step in program.steps for s in step[0]}
-                  | {s for step in program.steps for s in step[1]})
-    pipe_counts = [config.ports[port] for port in program.ports]
-    has_mem = any(step[5] in (K_LOAD, K_STORE) for step in program.steps)
-    has_load = any(step[5] == K_LOAD for step in program.steps)
-    has_store = any(step[5] == K_STORE for step in program.steps)
-    has_prfm = any(step[5] == K_PRFM for step in program.steps)
-    iw = config.issue_width
-    p2 = config.l2_load_latency - config.l1_load_latency
-    p3 = config.mem_load_latency - config.l1_load_latency
-    # Cache geometry is config-derived and the program pool keys on the
-    # config, so line width and set count fold to literals (shift/mask for
-    # powers of two); the live probe would demote on any mismatch anyway.
-    lw = config.l1.line_bytes // 8
-    n1 = config.l1.num_sets
-    n2 = config.l2.num_sets
-    static_da = 0
-
-    e = _Emitter()
-    e.emit(0, "def __kernel(pipe, addrs):")
-    e.emit(1, "ready = pipe._ready")
-    e.emit(1, "rget = ready.get")
-    for s in live:
-        e.emit(1, f"s{s} = rget({SCOREBOARD_KEYS[s]!r}, 0)")
-    if program.ports:
-        e.emit(1, "_ports = pipe._port_free")
-    for k, n in enumerate(pipe_counts):
-        e.emit(1, f"pl{k} = _ports[PORTS[{k}]]")
-        if n == 1:
-            e.emit(1, f"p{k} = pl{k}[0]")
-    if has_mem or has_prfm:
-        e.emit(1, "hierarchy = pipe.hierarchy")
-    if has_prfm:
-        e.emit(1, "swpf = hierarchy.software_prefetch")
-    if has_mem:
-        e.emit(1, "access_line_miss = hierarchy._access_line_miss")
-        e.emit(1, "l1 = hierarchy.l1")
-        e.emit(1, "l1_stats = l1.stats")
-        e.emit(1, "l1_sets = l1._sets")
-        if has_store:
-            e.emit(1, "l1_dirty = l1._dirty")
-        e.emit(1, "pf = pipe.prefetcher")
-        e.emit(1, "pf_on = pf.enabled and pf.num_streams > 0")
-        e.emit(1, "if pf_on:")
-        e.emit(2, "pf_streams = pf._streams")
-        e.emit(2, "pf_move = pf_streams.move_to_end")
-        e.emit(2, "pf_get = pf_streams.get")
-        e.emit(2, "pf_max = pf.num_streams")
-        e.emit(2, "pf_confirm = pf.confirm_advances")
-        e.emit(2, "pf_depth = pf.depth")
-        e.emit(2, "l2 = hierarchy.l2")
-        e.emit(2, "l2_sets = l2._sets")
-        e.emit(2, "watch = hierarchy.static_watch")
-        e.emit(2, "fill_l2 = hierarchy._fill_l2")
-        e.emit(2, "fill_l1 = hierarchy._fill_l1")
-        e.emit(1, "da = 0")
-        e.emit(1, "dh = 0")
-    if has_load:
-        e.emit(1, f"pen = (0, 0, {p2}, {p3})")
-    e.emit(1, "t = pipe._frontier")
-    e.emit(1, "cycle = pipe._cycle")
-    e.emit(1, "issued = pipe._issued_this_cycle")
-    e.emit(1, "makespan = pipe.makespan")
-
-    last_writer: Dict[int, int] = {}
-    wmin: List[Tuple[bool, int]] = [
-        (step[5] != K_LOAD, step[3]) for step in program.steps
-    ]
-    for j, (dep_slots, write_slots, port_id, latency, ii, kind, memops) in enumerate(
-        program.steps
-    ):
-        deps = _pruned_deps(dep_slots, last_writer, wmin)
-        if len(deps) > 3:
-            args = ", ".join(f"s{s}" for s in deps)
-            e.emit(1, f"t = max(t, {args})")
-        else:
-            for s in deps:
-                e.emit(1, f"if s{s} > t:")
-                e.emit(2, f"t = s{s}")
-        n = pipe_counts[port_id]
-        if n == 1:
-            e.emit(1, f"if p{port_id} > t:")
-            e.emit(2, f"t = p{port_id}")
-        elif n == 2:
-            e.emit(1, f"if pl{port_id}[0] <= pl{port_id}[1]:")
-            e.emit(2, "pi = 0")
-            e.emit(1, "else:")
-            e.emit(2, "pi = 1")
-            e.emit(1, f"v = pl{port_id}[pi]")
-            e.emit(1, "if v > t:")
-            e.emit(2, "t = v")
-        else:
-            e.emit(1, f"pi = min(range({n}), key=pl{port_id}.__getitem__)")
-            e.emit(1, f"v = pl{port_id}[pi]")
-            e.emit(1, "if v > t:")
-            e.emit(2, "t = v")
-        e.emit(1, "if t > cycle:")
-        e.emit(2, "cycle = t")
-        e.emit(2, "issued = 0")
-        e.emit(1, f"if issued >= {iw}:")
-        e.emit(2, "t = cycle + 1")
-        e.emit(2, "cycle = t")
-        e.emit(2, "issued = 0")
-
-        if kind == K_PRFM:
-            ai, length, wr = memops
-            e.emit(1, f"swpf(addrs[{ai}], {length}, write={bool(wr)})")
-        elif kind in (K_LOAD, K_STORE):
-            is_store = kind == K_STORE
-            # A lone memop's level IS the worst level: index the penalty
-            # table off it directly instead of round-tripping a max.
-            lone = len(memops) == 1
-            if not is_store and not lone:
-                e.emit(1, "worst = 1")
-            if (
-                len(memops) > 1
-                and all(m[2] == 1 for m in memops)
-                and len({m[0] for m in memops}) == 1
-            ):
-                # Strided gather: every memop is one word off one base
-                # address — share the inlined single-line body across a
-                # literal offset tuple.
-                ai = memops[0][0]
-                offs = ", ".join(str(m[1]) for m in memops)
-                e.emit(1, f"ab = addrs[{ai}]")
-                e.emit(1, f"for ao in ({offs}):")
-                e.emit(2, f"line = {_div_expr('ab + ao', lw)}")
-                e.emit(2, "level = 1")
-                _emit_l1_probe(e, 2, is_store, level_assign=True, n1=n1,
-                               count_da=False)
-                static_da += len(memops)
-                e.emit(2, "if pf_on:")
-                e.emit(3, "hit = level == 1")
-                _emit_train(e, 3, n1, n2)
-                if not is_store:
-                    e.emit(2, "if level > worst:")
-                    e.emit(3, "worst = level")
-            else:
-                track = not is_store and not lone
-                for ai, offset, nwords in memops:
-                    if nwords <= 1:
-                        _emit_memop_single(e, 1, ai, offset, is_store, track,
-                                           lw, n1, n2)
-                        static_da += 1
-                    else:
-                        _emit_memop_multi(e, 1, ai, offset, nwords, is_store,
-                                          track, lw, n1, n2)
-
-        if n == 1:
-            e.emit(1, f"p{port_id} = t + {ii}")
-        else:
-            e.emit(1, f"pl{port_id}[pi] = t + {ii}")
-        e.emit(1, "issued += 1")
-        if kind == K_LOAD:
-            lvl = "level" if lone else "worst"
-            e.emit(1, f"done = t + {latency} + pen[{lvl}]")
-        elif latency:
-            e.emit(1, f"done = t + {latency}")
-        else:
-            e.emit(1, "done = t")
-        for ws in write_slots:
-            e.emit(1, f"s{ws} = done")
-            last_writer[ws] = j
-        e.emit(1, "if done > makespan:")
-        e.emit(2, "makespan = done")
-
-    if has_mem:
-        if static_da:
-            e.emit(1, f"l1_stats.demand_accesses += da + {static_da}")
-        else:
-            e.emit(1, "l1_stats.demand_accesses += da")
-        e.emit(1, "l1_stats.demand_hits += dh")
-    for s in live:
-        e.emit(1, f"if s{s}:")
-        e.emit(2, f"ready[{SCOREBOARD_KEYS[s]!r}] = s{s}")
-    for k, n in enumerate(pipe_counts):
-        if n == 1:
-            e.emit(1, f"pl{k}[0] = p{k}")
-    e.emit(1, "pipe._frontier = t")
-    e.emit(1, "pipe._cycle = cycle")
-    e.emit(1, "pipe._issued_this_cycle = issued")
-    e.emit(1, "pipe.makespan = makespan")
-    e.emit(1, f"pipe.instructions_retired += {program.count}")
-    if program.ports:
-        e.emit(1, "bp = pipe.instructions_by_port")
-        for k, port in enumerate(program.ports):
-            e.emit(1, f"bp[PORTS[{k}]] += {program.port_counts[port]}")
-    if program.flops:
-        e.emit(1, f"pipe.flops += {program.flops}")
-    if program.useful_flops:
-        e.emit(1, f"pipe.useful_flops += {program.useful_flops}")
-    if program.n_prfm:
-        e.emit(1, f"pipe.sw_prefetches += {program.n_prfm}")
-    return e.source()
-
-
-def _timing_namespace(program: TimingProgram) -> Dict:
-    return {
-        "PORTS": program.ports,
-        "_Stream": _Stream,
-    }
-
-
-# -- functional kernel emitter ------------------------------------------------
-
-
-def functional_kernel_source(program: FunctionalProgram) -> Tuple[str, List[np.ndarray]]:
-    """Emit the specialized source for a functional program.
-
-    Returns ``(source, consts)`` where ``consts`` holds the ``F_CONST``
-    lane arrays the source references as ``C0, C1, ...`` through its exec
-    namespace (ndarray constants cannot be source literals).
-    """
-    L = SVL_LANES
-    ops = program.ops
-    codes = {op[0] for op in ops}
-    consts: List[np.ndarray] = []
-    has_tiles = codes & {F_FMOPA, F_ZERO, F_MOVA_TV, F_MOVA_VT, F_FMLA_M, F_ST_SLICE}
-    has_mem = codes & {F_LD, F_LD_TAIL, F_LD_STRIDED, F_ST, F_ST_SLICE}
-
-    e = _Emitter()
-    e.emit(0, "def __kernel(engine, addrs):")
-    e.emit(1, f"engine.instructions_executed += {program.count}")
-    e.emit(1, "v = engine.regs._vregs")
-    if has_tiles:
-        e.emit(1, "tiles = engine.regs._tiles")
-    if has_mem:
-        e.emit(1, "mem = engine.memory")
-        e.emit(1, "base = mem._BASE")
-        e.emit(1, "nxt = mem._next")
-    if codes & {F_LD}:
-        e.emit(1, "pget = mem._pages.get")
-    if codes & {F_ST, F_ST_SLICE}:
-        e.emit(1, "page_for = mem._page_for")
-        e.emit(1, "mem_write = mem.write")
-    if codes & {F_LD, F_LD_TAIL}:
-        e.emit(1, "mem_read = mem.read")
-    if codes & {F_LD_STRIDED}:
-        e.emit(1, "read_strided = mem.read_strided")
-    if has_mem:
-        e.emit(1, "check_range = mem._check_range")
-
-    for op in ops:
-        code = op[0]
-        if code == F_FMLA:
-            e.emit(1, f"v[{op[1]}] += v[{op[2]}] * v[{op[3]}]")
-        elif code == F_FMLA_IDX:
-            e.emit(1, f"v[{op[1]}] += v[{op[2]}] * v[{op[3]}][{op[4]}]")
-        elif code == F_LD:
-            e.emit(1, f"a = addrs[{op[2]}]")
-            e.emit(1, f"if a < base or a + {L} > nxt:")
-            e.emit(2, f"check_range(a, {L})")
-            e.emit(1, f"pid, off = divmod(a, {PAGE_WORDS})")
-            e.emit(1, f"if off + {L} <= {PAGE_WORDS}:")
-            e.emit(2, "page = pget(pid)")
-            e.emit(2, "if page is None:")
-            e.emit(3, f"v[{op[1]}] = 0.0")
-            e.emit(2, "else:")
-            e.emit(3, f"v[{op[1]}] = page[off : off + {L}]")
-            e.emit(1, "else:")
-            e.emit(2, f"v[{op[1]}] = mem_read(a, {L})")
-        elif code == F_EXT:
-            imm = op[4]
-            if imm == 0:
-                e.emit(1, f"v[{op[1]}] = v[{op[2]}]")
-            elif imm == L:
-                e.emit(1, f"v[{op[1]}] = v[{op[3]}]")
-            else:
-                e.emit(1, f"out = np.empty({L})")
-                e.emit(1, f"out[: {L - imm}] = v[{op[2]}][{imm}:]")
-                e.emit(1, f"out[{L - imm} :] = v[{op[3]}][: {imm}]")
-                e.emit(1, f"v[{op[1]}] = out")
-        elif code == F_FMOPA:
-            e.emit(1, f"tiles[{op[1]}] += v[{op[2]}].reshape({L}, 1) * v[{op[3]}]")
-        elif code == F_ST:
-            mask = op[3]
-            e.emit(1, f"a = addrs[{op[2]}]")
-            e.emit(1, f"if a < base or a + {mask} > nxt:")
-            e.emit(2, f"check_range(a, {mask})")
-            e.emit(1, f"pid, off = divmod(a, {PAGE_WORDS})")
-            e.emit(1, f"if off + {mask} <= {PAGE_WORDS}:")
-            e.emit(2, "page, _ = page_for(a, True)")
-            e.emit(2, f"page[off : off + {mask}] = v[{op[1]}][: {mask}]")
-            e.emit(1, "else:")
-            e.emit(2, f"mem_write(a, v[{op[1]}][: {mask}])")
-        elif code == F_ST_SLICE:
-            mask = op[4]
-            e.emit(1, f"a = addrs[{op[3]}]")
-            e.emit(1, f"if a < base or a + {mask} > nxt:")
-            e.emit(2, f"check_range(a, {mask})")
-            e.emit(1, f"pid, off = divmod(a, {PAGE_WORDS})")
-            e.emit(1, f"if off + {mask} <= {PAGE_WORDS}:")
-            e.emit(2, "page, _ = page_for(a, True)")
-            e.emit(2, f"page[off : off + {mask}] = tiles[{op[1]}, {op[2]}][: {mask}]")
-            e.emit(1, "else:")
-            e.emit(2, f"mem_write(a, tiles[{op[1]}, {op[2]}][: {mask}])")
-        elif code == F_FMUL_IDX:
-            e.emit(1, f"v[{op[1]}] = v[{op[2]}] * v[{op[3]}][{op[4]}]")
-        elif code == F_FADD:
-            e.emit(1, f"v[{op[1]}] = v[{op[2]}] + v[{op[3]}]")
-        elif code == F_LD_TAIL:
-            mask = op[3]
-            e.emit(1, f"row = v[{op[1]}]")
-            e.emit(1, f"row[{mask}:] = 0.0")
-            e.emit(1, f"row[: {mask}] = mem_read(addrs[{op[2]}], {mask})")
-        elif code == F_LD_STRIDED:
-            e.emit(1, f"v[{op[1]}] = read_strided(addrs[{op[2]}], {L}, {op[3]})")
-        elif code == F_CONST:
-            idx = len(consts)
-            consts.append(op[2])
-            e.emit(1, f"v[{op[1]}] = C{idx}")
-        elif code == F_ZERO:
-            e.emit(1, f"tiles[{op[1]}] = 0.0")
-        elif code == F_MOVA_TV:
-            e.emit(1, f"v[{op[1]}] = tiles[{op[2]}, {op[3]}]")
-        elif code == F_MOVA_VT:
-            e.emit(1, f"tiles[{op[1]}, {op[2]}] = v[{op[3]}]")
-        elif code == F_FMLA_M:
-            e.emit(1, f"sc = v[{op[3]}][{op[4]}]")
-            for g in range(4):
-                e.emit(1, f"tiles[{op[1]}, {2 * g}] += v[{op[2] + g}] * sc")
-        else:  # pragma: no cover - builder emits only known opcodes
-            raise ValueError(f"unknown functional opcode {code}")
-    if not ops:
-        e.emit(1, "pass")
-    return e.source(), consts
-
-
-def _functional_namespace(consts: Sequence[np.ndarray]) -> Dict:
-    namespace: Dict = {"np": np}
-    for i, arr in enumerate(consts):
-        namespace[f"C{i}"] = arr
-    return namespace
-
-
-# -- columnar chunk-walk emitter ----------------------------------------------
-
-
-def chunk_walk_source(
-    chunk: Tuple, ports: Tuple, config: MachineConfig
-) -> str:
-    """Emit a specialized ``_scoreboard_walk`` for one columnar chunk.
-
-    Same signature/contract as the interpreted walk minus the constants it
-    bakes in (steps, write-out set, issue width, penalties, pipe counts):
-    mutates ``slots`` / ``pipes_by_id`` in place and returns the memo entry.
-    """
-    steps, _live_in, write_out, _port_ids, _lev_lo, _lev_hi = chunk
-    pipe_counts = {pid: config.ports[ports[pid]] for pid in
-                   sorted({step[2] for step in steps})}
-    iw = config.issue_width
-    p2 = config.l2_load_latency - config.l1_load_latency
-    p3 = config.mem_load_latency - config.l1_load_latency
-    has_load = any(step[5] == K_LOAD for step in steps)
-
-    e = _Emitter()
-    e.emit(0, "def __chunk(levels, li, f0, cycle, issued, slots, pipes_by_id):")
-    static_assigned = sorted(
-        (pid, 0) for pid, n in pipe_counts.items() if n == 1
-    )
-    e.emit(1, f"asg = {{{', '.join(map(repr, static_assigned))}}}"
-           if static_assigned else "asg = set()")
-    for pid, n in pipe_counts.items():
-        e.emit(1, f"pl{pid} = pipes_by_id[{pid}]")
-        if n == 1:
-            e.emit(1, f"p{pid} = pl{pid}[0]")
-    if has_load:
-        e.emit(1, f"pen = (0, 0, {p2}, {p3})")
-    e.emit(1, "t = f0")
-    e.emit(1, "max_done = 0")
-
-    load_no = 0
-    last_writer: Dict[int, int] = {}
-    wmin: List[Tuple[bool, int]] = [
-        (step[5] != K_LOAD, step[3]) for step in steps
-    ]
-    for j, (dep_slots, write_slots, port_id, latency, ii, kind, _memops) in enumerate(
-        steps
-    ):
-        deps = _pruned_deps(dep_slots, last_writer, wmin)
-        if len(deps) > 3:
-            args = ", ".join(f"slots[{s}]" for s in deps)
-            e.emit(1, f"t = max(t, {args})")
-        else:
-            for s in deps:
-                e.emit(1, f"v = slots[{s}]")
-                e.emit(1, "if v > t:")
-                e.emit(2, "t = v")
-        n = pipe_counts[port_id]
-        if n == 1:
-            e.emit(1, f"if p{port_id} > t:")
-            e.emit(2, f"t = p{port_id}")
-        elif n == 2:
-            e.emit(1, f"if pl{port_id}[0] <= pl{port_id}[1]:")
-            e.emit(2, "pi = 0")
-            e.emit(1, "else:")
-            e.emit(2, "pi = 1")
-            e.emit(1, f"v = pl{port_id}[pi]")
-            e.emit(1, "if v > t:")
-            e.emit(2, "t = v")
-        else:
-            e.emit(1, f"pi = min(range({n}), key=pl{port_id}.__getitem__)")
-            e.emit(1, f"v = pl{port_id}[pi]")
-            e.emit(1, "if v > t:")
-            e.emit(2, "t = v")
-        e.emit(1, "if t > cycle:")
-        e.emit(2, "cycle = t")
-        e.emit(2, "issued = 0")
-        e.emit(1, f"if issued >= {iw}:")
-        e.emit(2, "t = cycle + 1")
-        e.emit(2, "cycle = t")
-        e.emit(2, "issued = 0")
-        if n == 1:
-            e.emit(1, f"p{port_id} = t + {ii}")
-        else:
-            e.emit(1, f"pl{port_id}[pi] = t + {ii}")
-            e.emit(1, f"asg.add(({port_id}, pi))")
-        e.emit(1, "issued += 1")
-        if kind == K_LOAD:
-            e.emit(1, f"done = t + {latency} + pen[levels[li + {load_no}]]")
-            load_no += 1
-        elif latency:
-            e.emit(1, f"done = t + {latency}")
-        else:
-            e.emit(1, "done = t")
-        for ws in write_slots:
-            e.emit(1, f"slots[{ws}] = done")
-            last_writer[ws] = j
-        e.emit(1, "if done > max_done:")
-        e.emit(2, "max_done = done")
-
-    for pid, n in pipe_counts.items():
-        if n == 1:
-            e.emit(1, f"pl{pid}[0] = p{pid}")
-    if len(write_out) == 1:
-        out = f"(({write_out[0]}, slots[{write_out[0]}] - f0),)"
-    else:
-        out = "(" + ", ".join(
-            f"({s}, slots[{s}] - f0)" for s in write_out
-        ) + ")"
-    e.emit(1, "return (")
-    e.emit(2, f"{out},")
-    e.emit(2, "tuple((pid, jj, pipes_by_id[pid][jj] - f0)")
-    e.emit(2, "      for pid, jj in sorted(asg)),")
-    e.emit(2, "t - f0,")
-    e.emit(2, "t - cycle,")
-    e.emit(2, "issued,")
-    e.emit(2, "max_done - f0,")
-    e.emit(1, ")")
-    return e.source()
-
-
-def chunk_walk_fn(chunk: Tuple, ports: Tuple, config: MachineConfig):
-    """Generate+compile a chunk walk; ``None`` on failure (caller demotes)."""
-    try:
-        source = chunk_walk_source(chunk, ports, config)
-    except Exception:
-        CODEGEN_STATS["exec_failed"] += 1
-        return None
-    fn = _compile_fn(source, {}, name="__chunk", cache_key=("chunk",))
-    if fn is None:
-        CODEGEN_STATS["exec_failed"] += 1
-        return None
-    CODEGEN_STATS["chunk_generated"] += 1
-    return fn
-
-
-# -- artifact persistence -----------------------------------------------------
-
-
-def _codegen_artifact_digest(
-    flavor: str, sig_digest: str, config: Optional[MachineConfig]
-) -> str:
-    inputs = {
-        "kind": "codegen",
-        "flavor": flavor,
-        "meta": artifacts.artifact_meta(),
-        "signature": sig_digest,
-        "version": CODEGEN_VERSION,
-    }
-    if config is not None:
-        inputs["machine"] = artifacts.machine_digest(config)
-    return artifacts.artifact_digest(inputs)
-
-
-def _state_from_payload(
-    data: Dict, flavor: str, content: str, namespace: Dict, cache_key=None
-):
-    """Rebuild a state from a stored payload; a demoted state on any skew.
-
-    Tampered source (sha mismatch), a stale generator version, or a content
-    digest that no longer matches the in-hand program all demote the class
-    permanently — a wrong kernel must never run, and the interpreted program
-    is always available.  A clean load still starts unverified: the first
-    live use pays the one-emit probe exactly like a fresh generation.
-    """
-    try:
-        ok = (
-            data.get("version") == CODEGEN_VERSION
-            and data.get("flavor") == flavor
-            and isinstance(data.get("source"), str)
-            and data.get("sha256") == _sha256(data["source"])
-            and data.get("content") == content
-        )
-    except Exception:
-        ok = False
-    if not ok:
-        state = CodegenState(demoted=True)
-        CODEGEN_STATS["demoted"] += 1
-        return state
-    fn = _compile_fn(data["source"], namespace, cache_key=cache_key)
-    if fn is None:
-        CODEGEN_STATS["exec_failed"] += 1
-        state = CodegenState(demoted=True)
-        CODEGEN_STATS["demoted"] += 1
-        return state
-    CODEGEN_STATS["loaded"] += 1
-    return CodegenState(fn=fn, source=data["source"])
-
-
-def _install(
-    program,
-    flavor: str,
-    content: str,
-    source_fn,
-    namespace: Dict,
-    config: Optional[MachineConfig],
-    cache_key=None,
-) -> CodegenState:
-    sig_digest = program.sig_digest
-    store = artifacts.active_store()
-    digest = None
-    if store is not None and sig_digest is not None:
-        digest = _codegen_artifact_digest(flavor, sig_digest, config)
-        data = store.load("codegen", digest)
-        if data is not None:
-            state = _state_from_payload(data, flavor, content, namespace, cache_key)
-            program.codegen = state
-            return state
-    try:
-        source = source_fn()
-        fn = _compile_fn(source, namespace, cache_key=cache_key)
-    except Exception:
-        fn = None
-        source = None
-    if fn is None:
-        CODEGEN_STATS["exec_failed"] += 1
-        state = CodegenState(demoted=True)
-        CODEGEN_STATS["demoted"] += 1
-        program.codegen = state
-        return state
-    state = CodegenState(fn=fn, source=source)
-    CODEGEN_STATS["generated"] += 1
-    program.codegen = state
-    if store is not None and digest is not None:
-        payload = {
-            "version": CODEGEN_VERSION,
-            "flavor": flavor,
-            "source": source,
-            "sha256": _sha256(source),
-            "content": content,
-        }
-        if store.store(
-            "codegen", digest, payload,
-            inputs={"flavor": flavor, "signature": sig_digest, "content": content},
-        ):
-            CODEGEN_STATS["store_writes"] += 1
-    return state
-
-
-def install_timing(program: TimingProgram, config: MachineConfig) -> CodegenState:
-    """Generate (or store-load) the timing kernel for a program."""
-    state = program.codegen
-    if state is not None:
-        return state
-    content = _content_digest(timing_program_to_payload(program))
-    return _install(
-        program,
-        "timing",
-        content,
-        lambda: timing_kernel_source(program, config),
-        _timing_namespace(program),
-        config,
-        cache_key=("timing", tuple(program.ports)),
-    )
-
-
-def install_functional(program: FunctionalProgram) -> CodegenState:
-    """Generate (or store-load) the functional kernel for a program."""
-    state = program.codegen
-    if state is not None:
-        return state
-    content = _content_digest(functional_program_to_payload(program))
-
-    def build() -> str:
-        source, _ = functional_kernel_source(program)
-        return source
-
-    # The namespace needs the F_CONST arrays, which only exist after the
-    # source is emitted; recover them for the store-load path directly from
-    # the program (op order is deterministic, so the Ci numbering matches).
-    consts = [op[2] for op in program.ops if op[0] == F_CONST]
-    return _install(
-        program,
-        "functional",
-        content,
-        build,
-        _functional_namespace(consts),
-        None,
-        cache_key=("functional", tuple(arr.tobytes() for arr in consts)),
-    )
-
-
-# -- probe verification -------------------------------------------------------
-
-
-def _pipes_match(clone, pipe) -> bool:
-    """Full structural pipe-state comparison (mirror of the columnar probe).
-
-    Both sides start from identical absolute state and process the same
-    block, so a correct kernel leaves *identical* absolute state — raw
-    structure comparison is stricter and cheaper than normalized
-    signatures.  Stream-table order matters (LRU eviction).
-    """
-    ch, ph = clone.hierarchy, pipe.hierarchy
-    cf, pf = clone.prefetcher, pipe.prefetcher
-    return (
-        clone._frontier == pipe._frontier
-        and clone._cycle == pipe._cycle
-        and clone._issued_this_cycle == pipe._issued_this_cycle
-        and clone.makespan == pipe.makespan
-        and clone._port_free == pipe._port_free
-        and clone._ready == pipe._ready
-        and clone.instructions_retired == pipe.instructions_retired
-        and clone.instructions_by_port == pipe.instructions_by_port
-        and clone.flops == pipe.flops
-        and clone.useful_flops == pipe.useful_flops
-        and clone.sw_prefetches == pipe.sw_prefetches
-        and ch.mem_lines_read == ph.mem_lines_read
-        and ch.mem_lines_written == ph.mem_lines_written
-        and ch.l1._tick == ph.l1._tick
-        and ch.l1._sets == ph.l1._sets
-        and ch.l1._dirty == ph.l1._dirty
-        and ch.l1.stats == ph.l1.stats
-        and ch.l2._tick == ph.l2._tick
-        and ch.l2._sets == ph.l2._sets
-        and ch.l2._dirty == ph.l2._dirty
-        and ch.l2.stats == ph.l2.stats
-        and list(cf._streams.items()) == list(pf._streams.items())
-        and cf.prefetches_issued == pf.prefetches_issued
-        and cf.streams_confirmed == pf.streams_confirmed
-        and cf.streams_allocated == pf.streams_allocated
-    )
-
-
-def probe_timing(state: CodegenState, pipe, program: TimingProgram, addrs) -> None:
-    """One-live-emit probe: generated on a clone, interpreted on the real pipe.
-
-    The interpreted (trusted) result is in place whichever way the
-    comparison goes; a match flips ``verified``, anything else demotes the
-    class permanently.
-    """
-    clone = pipe.clone()
-    failed = False
-    try:
-        state.fn(clone, addrs)
-    except Exception:
-        failed = True
-    pipe.process_template_interp(program, addrs)
-    if not failed and _pipes_match(clone, pipe):
-        state.verified = True
-        CODEGEN_STATS["verified"] += 1
-    else:
-        if failed:
-            CODEGEN_STATS["exec_failed"] += 1
-        state.demote()
-
-
-def _store_page_ids(program: FunctionalProgram, addrs) -> set:
-    """Memory pages the program's stores can touch with these addresses."""
-    pids: set = set()
-    for op in program.ops:
-        code = op[0]
-        if code == F_ST:
-            addr, n = addrs[op[2]], op[3]
-        elif code == F_ST_SLICE:
-            addr, n = addrs[op[3]], op[4]
-        else:
-            continue
-        pids.update(range(addr // PAGE_WORDS, (addr + n - 1) // PAGE_WORDS + 1))
-    return pids
-
-
-def probe_functional(state: CodegenState, engine, program: FunctionalProgram, addrs) -> None:
-    """Snapshot/run-generated/restore/run-interpreted probe for one block.
-
-    Register files are tiny and copied whole; memory is snapshotted only on
-    the pages the program's stores can touch (loads never create or mutate
-    pages).  The interpreted replay runs last on the restored state, so its
-    trusted result stands; comparison is bit-exact (``tobytes``).
-    """
-    regs = engine.regs
-    pages = engine.memory._pages
-    pids = _store_page_ids(program, addrs)
-    snap_v = regs._vregs.copy()
-    snap_t = regs._tiles.copy()
-    snap_n = engine.instructions_executed
-    snap_pages = {}
-    for pid in pids:
-        page = pages.get(pid)
-        snap_pages[pid] = None if page is None else page.copy()
-
-    failed = False
-    try:
-        state.fn(engine, addrs)
-    except Exception:
-        failed = True
-    got_v = regs._vregs.copy()
-    got_t = regs._tiles.copy()
-    got_n = engine.instructions_executed
-    got_pages = {}
-    for pid in pids:
-        page = pages.get(pid)
-        got_pages[pid] = None if page is None else page.copy()
-
-    # Restore, then produce the trusted result in place.
-    regs._vregs[:] = snap_v
-    regs._tiles[:] = snap_t
-    engine.instructions_executed = snap_n
-    for pid, page in snap_pages.items():
-        if page is None:
-            pages.pop(pid, None)
-        else:
-            pages[pid] = page
-    engine.execute_template_interp(program, addrs)
-
-    ok = (
-        not failed
-        and got_n == engine.instructions_executed
-        and got_v.tobytes() == regs._vregs.tobytes()
-        and got_t.tobytes() == regs._tiles.tobytes()
-    )
-    if ok:
-        for pid in pids:
-            ref = pages.get(pid)
-            got = got_pages[pid]
-            if (ref is None) != (got is None) or (
-                ref is not None and ref.tobytes() != got.tobytes()
-            ):
-                ok = False
-                break
-    if ok:
-        state.verified = True
-        CODEGEN_STATS["verified"] += 1
-    else:
-        if failed:
-            CODEGEN_STATS["exec_failed"] += 1
-        state.demote()
+    """The retired tier's counters, every one zero."""
+    return dict.fromkeys(_STATS_KEYS, 0)

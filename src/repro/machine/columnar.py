@@ -291,7 +291,7 @@ class ColumnarShare:
     Replayers constructed without an explicit share get a private one.
     """
 
-    __slots__ = ("plans", "pmemo", "bmemo", "chunk_fns")
+    __slots__ = ("plans", "pmemo", "bmemo")
 
     def __init__(self) -> None:
         #: program -> flattened memory plan.
@@ -302,18 +302,12 @@ class ColumnarShare:
         #: tried before the chunk tables, hit when an entire block's entry
         #: context recurs (the common case once a band reaches steady state).
         self.bmemo: Dict[TimingProgram, Dict[Tuple, Tuple]] = {}
-        #: program -> {chunk index -> generated walk fn | False (demoted)};
-        #: the exec-compiled Phase-P chunk bodies of
-        #: :mod:`repro.machine.codegen`, each verified against
-        #: :meth:`ColumnarReplayer._scoreboard_walk` on its first use.
-        self.chunk_fns: Dict[TimingProgram, Dict[int, object]] = {}
 
     def drop(self, program: TimingProgram) -> None:
         """Forget everything recorded for ``program`` (demotion path)."""
         self.plans.pop(program, None)
         self.pmemo.pop(program, None)
         self.bmemo.pop(program, None)
-        self.chunk_fns.pop(program, None)
 
 
 class _ClassState:
@@ -557,10 +551,7 @@ class ColumnarReplayer:
             if v:
                 ready[SCOREBOARD_KEYS[i]] = v
 
-        # The probe's trusted side must be the interpreted walk itself, not
-        # the process_template dispatcher (which could route to a generated
-        # kernel whose own verification chain this probe sits above).
-        pipe.process_template_interp(program, addrs)
+        pipe.process_template(program, addrs)
         self.scalar_blocks += 1
 
         if self._columnar_matches(clone, pipe):
@@ -1079,7 +1070,8 @@ class ColumnarReplayer:
             self._pmemo[program] = tables
         assigned_all: set = set()
         block_done = 0
-        for ci, (chunk, table) in enumerate(zip(plan.chunks, tables)):
+        issue_width = pipe.config.issue_width
+        for chunk, table in zip(plan.chunks, tables):
             steps, live_in, write_out, port_ids, lev_lo, lev_hi = chunk
             f0 = frontier
             sb = tuple([(v - f0) if (v := slots[s]) > f0 else 0 for s in live_in])
@@ -1108,9 +1100,9 @@ class ColumnarReplayer:
 
             entry = table.get(key)
             if entry is None:
-                entry = self._chunk_walk(
-                    program, ci, chunk, levels, f0, cycle, issued,
-                    slots, pipes_by_id, pipe,
+                entry = self._scoreboard_walk(
+                    steps, write_out, levels, lev_lo, f0, cycle, issued,
+                    slots, pipes_by_id, issue_width,
                 )
                 table[key] = entry
             slots_out, pipes_out, frontier_rel, cycle_lag, issued, done_rel = entry
@@ -1154,75 +1146,6 @@ class ColumnarReplayer:
         pipe.flops += program.flops
         pipe.useful_flops += program.useful_flops
         pipe.sw_prefetches += program.n_prfm
-
-    def _chunk_walk(
-        self,
-        program: TimingProgram,
-        ci: int,
-        chunk: Tuple,
-        levels: bytes,
-        f0: int,
-        cycle: int,
-        issued: int,
-        slots: List[int],
-        pipes_by_id: List[List[int]],
-        pipe: PipelineModel,
-    ) -> Tuple:
-        """Chunk walk on a memo miss, through a generated body if possible.
-
-        With codegen enabled on the pipe, each chunk gets an exec-compiled
-        straight-line walk (:func:`repro.machine.codegen.chunk_walk_fn`)
-        whose first use is verified against the interpreted
-        :meth:`_scoreboard_walk` — generated on copies, interpreted on the
-        real structures, entries and mutated state compared exactly.  Any
-        mismatch or generation failure demotes that chunk (only) to the
-        interpreted walk.  Chunk sources are cheap to regenerate and their
-        results live in the persisted memo tables, so they are not stored
-        as artifacts.
-        """
-        steps, _live_in, write_out, _port_ids, lev_lo, _lev_hi = chunk
-        if not pipe.codegen:
-            return self._scoreboard_walk(
-                steps, write_out, levels, lev_lo, f0, cycle, issued,
-                slots, pipes_by_id, pipe.config.issue_width,
-            )
-        fns = self.share.chunk_fns.get(program)
-        if fns is None:
-            fns = self.share.chunk_fns[program] = {}
-        fn = fns.get(ci)
-        if fn is None:
-            from repro.machine import codegen as _codegen
-
-            fn = _codegen.chunk_walk_fn(chunk, program.ports, self.config)
-            if fn is None:
-                fns[ci] = False
-                _codegen.CODEGEN_STATS["chunk_demoted"] += 1
-                return self._scoreboard_walk(
-                    steps, write_out, levels, lev_lo, f0, cycle, issued,
-                    slots, pipes_by_id, pipe.config.issue_width,
-                )
-            slots_copy = list(slots)
-            pipes_copy = [list(p) for p in pipes_by_id]
-            try:
-                got = fn(levels, lev_lo, f0, cycle, issued, slots_copy, pipes_copy)
-            except Exception:
-                got = None
-            entry = self._scoreboard_walk(
-                steps, write_out, levels, lev_lo, f0, cycle, issued,
-                slots, pipes_by_id, pipe.config.issue_width,
-            )
-            if got == entry and slots_copy == slots and pipes_copy == pipes_by_id:
-                fns[ci] = fn
-            else:
-                fns[ci] = False
-                _codegen.CODEGEN_STATS["chunk_demoted"] += 1
-            return entry
-        if fn is False:
-            return self._scoreboard_walk(
-                steps, write_out, levels, lev_lo, f0, cycle, issued,
-                slots, pipes_by_id, pipe.config.issue_width,
-            )
-        return fn(levels, lev_lo, f0, cycle, issued, slots, pipes_by_id)
 
     def _scoreboard_walk(
         self,

@@ -205,8 +205,6 @@ class TimingProgram:
         "n_prfm",
         "n_addrs",
         "plan_payload",
-        "codegen",
-        "sig_digest",
         "_dep_union",
         "_write_union",
     )
@@ -232,11 +230,6 @@ class TimingProgram:
         #: Serialized columnar plan riding along with a store-loaded program
         #: (see :mod:`repro.machine.columnar`); ``None`` on live builds.
         self.plan_payload = None
-        #: Lazily-installed :class:`~repro.machine.codegen.CodegenState`
-        #: and the signature digest the pool stashes so codegen artifacts
-        #: key identically to the program's own store entry.
-        self.codegen = None
-        self.sig_digest: Optional[str] = None
         self._dep_union: Optional[Tuple[int, ...]] = None
         self._write_union: Optional[Tuple[int, ...]] = None
 
@@ -524,8 +517,6 @@ class ProgramPool:
             program = build_timing_program(trace, config)
             self.build_seconds += perf_counter() - start
             self.builds += 1
-        if program is not None and sig_digest is not None:
-            program.sig_digest = sig_digest
         self._entries[key] = (config, program)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -604,15 +595,12 @@ def pooled_functional_program(
         if data is not None:
             program = functional_program_from_payload(data)
             if program is not None:
-                program.sig_digest = sig_digest
                 _POOL.functional_store_hits += 1
                 return program
     start = perf_counter()
     program = build_functional_program(trace)
     _POOL.build_seconds += perf_counter() - start
     _POOL.functional_builds += 1
-    if program is not None:
-        program.sig_digest = sig_digest
     if store is not None and digest is not None and program is not None:
         store.store(
             "functional",
@@ -665,14 +653,12 @@ class FunctionalProgram:
     operands reference the per-block rebased address array by index.
     """
 
-    __slots__ = ("ops", "count", "n_addrs", "codegen", "sig_digest")
+    __slots__ = ("ops", "count", "n_addrs")
 
     def __init__(self, ops: Tuple, count: int, n_addrs: int) -> None:
         self.ops = ops
         self.count = count
         self.n_addrs = n_addrs
-        self.codegen = None
-        self.sig_digest: Optional[str] = None
 
 
 def build_functional_program(trace: Sequence[Instruction]) -> Optional[FunctionalProgram]:

@@ -67,19 +67,10 @@ from repro.machine.memory import MemorySpace, PAGE_WORDS
 class FunctionalEngine:
     """Interprets instruction streams for their architectural effects."""
 
-    def __init__(
-        self, memory: Optional[MemorySpace] = None, codegen: Optional[bool] = None
-    ) -> None:
+    def __init__(self, memory: Optional[MemorySpace] = None) -> None:
         self.memory = memory if memory is not None else MemorySpace()
         self.regs = RegisterFile()
         self.instructions_executed = 0
-        if codegen is None:
-            from repro.machine.codegen import default_codegen
-
-            codegen = default_codegen() == "on"
-        #: Template replays dispatch to exec-compiled kernels when set
-        #: (probe-verified against the interpreted replay on first use).
-        self.codegen = codegen
 
     def reset_registers(self) -> None:
         """Clear architectural register state between kernel runs."""
@@ -149,36 +140,7 @@ class FunctionalEngine:
             self.execute(ins)
 
     def execute_template(self, program: FunctionalProgram, addrs: Sequence[int]) -> None:
-        """Replay a precompiled template, through a generated kernel if possible.
-
-        With :attr:`codegen` set, the program's exec-compiled straight-line
-        kernel (:mod:`repro.machine.codegen`) replaces the interpreted
-        opcode loop: generated lazily (or loaded from the AOT store),
-        verified bit-exactly against :meth:`execute_template_interp` on its
-        first live emit, and demoted permanently on any mismatch or
-        ``exec`` failure.  The interpreted result always stands during the
-        probe, so architectural state is bit-identical on every path.
-        """
-        if self.codegen:
-            state = program.codegen
-            if state is None:
-                from repro.machine.codegen import install_functional
-
-                state = install_functional(program)
-            if not state.demoted:
-                if state.verified:
-                    state.fn(self, addrs)
-                    return
-                from repro.machine.codegen import probe_functional
-
-                probe_functional(state, self, program, addrs)
-                return
-        self.execute_template_interp(program, addrs)
-
-    def execute_template_interp(
-        self, program: FunctionalProgram, addrs: Sequence[int]
-    ) -> None:
-        """Replay a precompiled template with rebased addresses (interpreted).
+        """Replay a precompiled template with rebased addresses.
 
         Bit-identical to :meth:`execute_trace` on the template's
         instructions carrying the given addresses: the flat ops perform the

@@ -88,7 +88,6 @@ class MulticoreModel:
         engine: Optional[str] = None,
         timing: Optional[str] = None,
         steady: Optional[str] = None,
-        codegen: Optional[str] = None,
         timing_engine: Optional[TimingEngine] = None,
         artifact_dir=None,
     ) -> None:
@@ -103,7 +102,6 @@ class MulticoreModel:
                 engine=engine,
                 timing=timing,
                 steady=steady,
-                codegen=codegen,
                 artifact_dir=artifact_dir,
             )
 

@@ -80,12 +80,6 @@ class PipelineModel:
         self._issued_this_cycle = 0
         #: Completion time of the latest-finishing instruction.
         self.makespan = 0
-        #: Template replays dispatch to exec-compiled straight-line kernels
-        #: (:mod:`repro.machine.codegen`) when set.  Off by default so
-        #: directly-constructed models stay the trusted interpreted walk;
-        #: :class:`~repro.machine.timing.TimingEngine` turns it on per its
-        #: ``codegen`` mode.
-        self.codegen = False
 
         self.instructions_retired = 0
         self.instructions_by_port: Dict[PortClass, int] = Counter()
@@ -175,37 +169,7 @@ class PipelineModel:
             self.process(ins)
 
     def process_template(self, program: TimingProgram, addrs: Sequence[int]) -> None:
-        """Replay a precompiled template, through a generated kernel if possible.
-
-        With :attr:`codegen` set, the program's exec-compiled straight-line
-        kernel (:mod:`repro.machine.codegen`) runs instead of the
-        interpreted step loop — generated lazily on first dispatch (or
-        loaded from the AOT artifact store), verified on its first live
-        emit against the interpreted walk, and demoted permanently to the
-        interpreted program on any mismatch, ``exec`` failure or store
-        skew.  The interpreted result always stands during the probe, so
-        every path is bit-identical to :meth:`process_template_interp`.
-        """
-        if self.codegen:
-            state = program.codegen
-            if state is None:
-                from repro.machine.codegen import install_timing
-
-                state = install_timing(program, self.config)
-            if not state.demoted:
-                if state.verified:
-                    state.fn(self, addrs)
-                    return
-                from repro.machine.codegen import probe_timing
-
-                probe_timing(state, self, program, addrs)
-                return
-        self.process_template_interp(program, addrs)
-
-    def process_template_interp(
-        self, program: TimingProgram, addrs: Sequence[int]
-    ) -> None:
-        """Replay a precompiled template with rebased addresses (interpreted).
+        """Replay a precompiled template with rebased addresses.
 
         Bit-identical to calling :meth:`process` on the template's
         instructions carrying the given addresses: the same scoreboard
@@ -433,7 +397,6 @@ class PipelineModel:
         out.flops = self.flops
         out.useful_flops = self.useful_flops
         out.sw_prefetches = self.sw_prefetches
-        out.codegen = self.codegen
         return out
 
     def state_signature(self) -> tuple:

@@ -76,14 +76,6 @@ def default_steady() -> str:
     return os.environ.get("REPRO_STEADY", "on")
 
 
-#: Template-specialized code generation (:mod:`repro.machine.codegen`):
-#: ``on`` replays each probe-verified shape class through an exec-compiled
-#: straight-line kernel instead of the interpreted step loop — bit-identical
-#: counters, any mismatch demotes to the interpreted program.  Compiled
-#: engine only; ``REPRO_CODEGEN`` overrides the default.
-from repro.machine.codegen import CODEGEN_MODES, default_codegen  # noqa: E402
-
-
 def _add_scaled(base: PerfCounters, delta: PerfCounters, n: int) -> PerfCounters:
     """``base + n * delta``, exact on every counter field.
 
@@ -133,7 +125,6 @@ class TimingEngine:
         engine: Optional[str] = None,
         timing: Optional[str] = None,
         steady: Optional[str] = None,
-        codegen: Optional[str] = None,
         artifact_dir=None,
     ) -> None:
         self.config = config
@@ -164,13 +155,6 @@ class TimingEngine:
                 f"unknown steady {steady!r}; expected one of {STEADY_MODES}"
             )
         self.steady = steady
-        if codegen is None:
-            codegen = default_codegen()
-        if codegen not in CODEGEN_MODES:
-            raise ValueError(
-                f"unknown codegen {codegen!r}; expected one of {CODEGEN_MODES}"
-            )
-        self.codegen = codegen
         #: In-process steady records keyed by bundle digest: a verified
         #: ``(period, delta, signature)`` from any earlier run (or the
         #: artifact store) lets later runs skip detection entirely and go
@@ -188,17 +172,6 @@ class TimingEngine:
         #: keyed on pooled program identity + relative context; see
         #: :class:`repro.machine.columnar.ColumnarShare`).
         self._share = None
-
-    def _make_pipe(self) -> PipelineModel:
-        """Fresh pipeline with the engine's codegen dispatch applied.
-
-        Codegen rides the compiled replay path only: the reference engine
-        never sees templates, and keeping its pipes interpreted preserves
-        the trusted baseline every probe compares against.
-        """
-        pipe = PipelineModel(self.config)
-        pipe.codegen = self.engine == "compiled" and self.codegen == "on"
-        return pipe
 
     def _columnar_share(self):
         if self._share is None:
@@ -243,7 +216,7 @@ class TimingEngine:
 
     def run_trace(self, trace: Iterable[Instruction], label: str = "") -> PerfCounters:
         """Time a straight-line instruction sequence (microbenchmarks)."""
-        pipe = self._make_pipe()
+        pipe = PipelineModel(self.config)
         pipe.process_trace(trace)
         counters = pipe.snapshot()
         counters.label = label
@@ -367,7 +340,7 @@ class TimingEngine:
     def _run_full(self, kernel: Kernel, nest, warm: bool, iters: int = 1) -> PerfCounters:
         from repro.machine.steady import SteadyStats
 
-        pipe = self._make_pipe()
+        pipe = PipelineModel(self.config)
         # bands() lists blocks grouped by outer index in iteration order, so
         # driving band-at-a-time preserves the exact block sequence of the
         # flat block loop.
@@ -465,7 +438,7 @@ class TimingEngine:
 
         cores = []
         for kernel in kernels:
-            pipe = self._make_pipe()
+            pipe = PipelineModel(self.config)
             nest = kernel.loop_nest()
             run_band, compiler = self._band_machinery(kernel, pipe, nest)
             cores.append((kernel, pipe, nest, nest.bands(), run_band, compiler))
@@ -560,7 +533,7 @@ class TimingEngine:
         return out
 
     def _run_sampled(self, kernel: Kernel, nest, plan: SamplePlan) -> PerfCounters:
-        pipe = self._make_pipe()
+        pipe = PipelineModel(self.config)
         bands = nest.bands()
         total_points = nest.total_points()
 

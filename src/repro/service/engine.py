@@ -92,7 +92,6 @@ def _runner_for(profile: Dict):
             timing=profile["timing"],
             steady=profile.get("steady"),
             sample=profile.get("sample"),
-            codegen=profile.get("codegen"),
             artifact_dir=profile["artifact_dir"],
         )
         _RUNNERS[profile["key"]] = runner
@@ -269,7 +268,6 @@ class StencilService:
         timing: Optional[str] = None,
         steady: Optional[str] = None,
         sample: Optional[bool] = None,
-        codegen: Optional[str] = None,
         weights: Optional[Dict[str, int]] = None,
         max_pending: Optional[Dict[str, int]] = None,
         result_cache: int = 4096,
@@ -281,7 +279,6 @@ class StencilService:
         self.timing = timing
         self.steady = steady
         self.sample = sample
-        self.codegen = codegen
         self.queue = LaneQueue(weights=weights, max_pending=max_pending)
         self.counters: Dict[str, int] = {
             "jobs": 0,
@@ -388,7 +385,6 @@ class StencilService:
                 "timing": self.timing,
                 "steady": self.steady,
                 "sample": self.sample,
-                "codegen": self.codegen,
                 "artifact_dir": str(self.artifact_dir) if self.artifact_dir else None,
             }
         )[:16]
@@ -403,7 +399,6 @@ class StencilService:
                 "timing": self.timing,
                 "steady": self.steady,
                 "sample": self.sample,
-                "codegen": self.codegen,
                 "artifact_dir": self.artifact_dir,
             }
             self._profiles[key] = profile
@@ -416,7 +411,6 @@ class StencilService:
         digest, _ = cache_key(
             machine, method, stencil, tuple(shape), options, plan, warm,
             iters=iters, timing=self.timing, sample=self.sample, steady=self.steady,
-            codegen=self.codegen,
         )
         return (action, digest)
 

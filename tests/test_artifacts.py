@@ -32,7 +32,6 @@ from repro.machine.artifacts import (
     encode_trace,
     install_artifact_store,
 )
-from repro.machine.codegen import codegen_stats, reset_codegen_stats
 from repro.machine.compiled import (
     ProgramPool,
     clear_program_pool,
@@ -55,12 +54,10 @@ def _isolated_store(monkeypatch):
     install_artifact_store(None)
     clear_program_pool(reset_stats=True)
     reset_compile_stats()
-    reset_codegen_stats()
     yield
     install_artifact_store(None)
     clear_program_pool(reset_stats=True)
     reset_compile_stats()
-    reset_codegen_stats()
 
 
 def _build(method, machine_name, stencil="star2d9p", rows=32, cols=32):
@@ -254,52 +251,12 @@ def test_program_pool_counters(tmp_path):
     assert warm["store_hits"] == cold["builds"]
 
 
-# -- codegen artifacts --------------------------------------------------------
-
-
-def _scalar_timing_run(
-    method, machine_name, store_dir, codegen="on", sample=True, **build_kw
-):
-    """Like :func:`_timing_run` but through the scalar replay path, which
-    dispatches per-block through ``process_template`` — the path that
-    generates (and persists) exec-compiled codegen kernels.  ``sample=False``
-    runs the full grid, touching every shape class."""
-    from repro.machine.timing import SamplePlan
-
-    install_artifact_store(str(store_dir) if store_dir is not None else None)
-    clear_program_pool(reset_stats=True)
-    reset_compile_stats()
-    reset_codegen_stats()
-    built = _build(method, machine_name, **build_kw)
-    if built is None:
-        return None
-    kernel, config, _, _ = built
-    plan = SamplePlan(warmup_bands=1, min_measure_points=600) if sample else None
-    engine = TimingEngine(config, engine="compiled", timing="scalar", codegen=codegen)
-    return engine.run(kernel, sample=sample, plan=plan, warm=True).to_dict()
-
-
-def test_codegen_round_trip_bit_identical(tmp_path):
-    """Cold run persists codegen kernels; a warm process loads every one."""
-    live = _scalar_timing_run("hstencil", "LX2", None)
-    cold = _scalar_timing_run("hstencil", "LX2", tmp_path)
-    cold_stats = codegen_stats()
-    warm = _scalar_timing_run("hstencil", "LX2", tmp_path)
-    warm_stats = codegen_stats()
-    assert cold == live and warm == live
-    assert cold_stats["generated"] >= 1
-    assert cold_stats["store_writes"] == cold_stats["generated"]
-    assert warm_stats["generated"] == 0
-    assert warm_stats["loaded"] == cold_stats["generated"]
-    assert warm_stats["demoted"] == 0
-    kinds = ArtifactStore(tmp_path).disk_stats()["kinds"]
-    assert kinds["codegen"]["entries"] == cold_stats["generated"]
-    assert kinds["codegen"]["bytes"] > 0
+# -- concurrent writers ------------------------------------------------------
 
 
 def test_concurrent_cold_generation_races_cleanly(tmp_path):
-    """Two processes generating the same classes on a cold store both
-    succeed via the atomic-write path, with exactly one entry per class."""
+    """Two processes compiling the same classes on a cold store both
+    succeed via the atomic-write path, with exactly one entry per digest."""
     import subprocess
     import sys
 
@@ -312,15 +269,14 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         "from repro.kernels.registry import make_kernel\n"
         "from repro.machine.config import LX2\n"
         "from repro.machine.memory import MemorySpace\n"
-        "from repro.machine.timing import SamplePlan, TimingEngine\n"
+        "from repro.machine.timing import TimingEngine\n"
         "from repro.stencils.grid import Grid2D\n"
         "from repro.stencils.library import benchmark\n"
         "spec = benchmark('star2d9p'); config = LX2(); mem = MemorySpace()\n"
-        "src = Grid2D(mem, 33, 48, spec.radius, 'A', fill='random', seed=13)\n"
+        "src = Grid2D(mem, 33, 48, spec.radius, 'A', fill='random', seed=7)\n"
         "dst = Grid2D(mem, 33, 48, spec.radius, 'B')\n"
         "kernel = make_kernel('hstencil', spec, src, dst, config, KernelOptions(unroll_j=2))\n"
-        "engine = TimingEngine(config, engine='compiled', timing='scalar', codegen='on')\n"
-        "pc = engine.run(kernel, sample=True, plan=SamplePlan(warmup_bands=1, min_measure_points=600))\n"
+        "pc = TimingEngine(config, engine='compiled').run(kernel, sample=False, warm=True)\n"
         "print(json.dumps(pc.to_dict(), sort_keys=True))\n"
     )
     src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -339,15 +295,18 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         assert proc.returncode == 0, err.decode()
     # Both raced processes measured bit-identical counters.
     assert outs[0][0] == outs[1][0]
-    # The store holds exactly one entry per class digest (atomic replace,
+    # Each kind holds exactly one entry per digest (atomic replace,
     # content-addressed paths), every entry parses, and no temp files leak.
-    files = _artifact_files(store / "codegen")
-    assert files
-    digests = [os.path.splitext(os.path.basename(p))[0] for p in files]
-    assert len(digests) == len(set(digests))
-    for path in files:
-        with open(path) as fh:
-            json.load(fh)
+    kinds = sorted(os.listdir(store))
+    assert "templates" in kinds and "timing" in kinds
+    for kind in kinds:
+        files = _artifact_files(store / kind)
+        assert files, kind
+        digests = [os.path.splitext(os.path.basename(p))[0] for p in files]
+        assert len(digests) == len(set(digests))
+        for path in files:
+            with open(path) as fh:
+                json.load(fh)
     leftovers = [
         os.path.join(d, f)
         for d, _dirs, fs in os.walk(store)
@@ -355,58 +314,13 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         if not f.endswith(".json")
     ]
     assert leftovers == []
-    # A warm process after the race loads everything: zero live generations.
-    warm = _scalar_timing_run("hstencil", "LX2", store, rows=33, cols=48)
-    stats = codegen_stats()
+    # A warm process after the race loads everything: nothing built live.
+    warm = _timing_run("hstencil", "LX2", store, rows=33, cols=48)
+    stats = compile_stats()
+    pool = program_pool_stats()
     assert warm == json.loads(outs[0][0])
-    assert stats["generated"] == 0 and stats["loaded"] == len(files)
-
-
-def test_tampered_codegen_source_demotes_only_that_class(tmp_path):
-    """A corrupt stored source blob demotes its class on load without
-    poisoning other classes or the measurement cache."""
-    from repro.bench.cache import MeasurementCache
-
-    live = _scalar_timing_run(
-        "hstencil", "LX2", tmp_path, sample=False, rows=33, cols=48
-    )
-    cold_stats = codegen_stats()
-    total = cold_stats["generated"]
-    assert total >= 2
-    victim = _artifact_files(tmp_path / "codegen")[0]
-    with open(victim) as fh:
-        blob = json.load(fh)
-    blob["data"]["source"] += "\npipe.flops += 1\n"
-    with open(victim, "w") as fh:
-        json.dump(blob, fh)
-    rebuilt = _scalar_timing_run(
-        "hstencil", "LX2", tmp_path, sample=False, rows=33, cols=48
-    )
-    stats = codegen_stats()
-    assert rebuilt == live  # the demoted class replays interpreted
-    assert stats["demoted"] == 1
-    assert stats["loaded"] == total - 1
-    # The measurement cache records only bit-identical counters afterwards.
-    from repro.bench.runner import ExperimentRunner
-
-    clear_program_pool(reset_stats=True)
-    cache_dir = tmp_path / "meas"
-    runner = ExperimentRunner(
-        LX2(),
-        KernelOptions(unroll_j=2),
-        cache_dir=str(cache_dir),
-        timing="scalar",
-        artifact_dir=str(tmp_path),
-    )
-    from repro.machine.timing import SamplePlan
-
-    plan = SamplePlan(warmup_bands=1, min_measure_points=600)
-    cell = runner.measure("hstencil", "star2d9p", (32, 32), plan=plan)
-    entries = [p for p in _artifact_files(cache_dir)]
-    assert entries
-    with open(entries[0]) as fh:
-        cached = json.load(fh)
-    assert cached["counters"] == cell.counters.to_dict()
+    assert stats["compiled_classes"] == 0 and stats["loaded_classes"] >= 1
+    assert pool["builds"] == 0 and pool["store_hits"] >= 1
 
 
 # -- store maintenance -------------------------------------------------------
@@ -495,22 +409,29 @@ def test_cli_precompile_and_cache(tmp_path, capsys):
     assert rc == 0
     assert "1 cells precompiled" in out
     assert '"program_pool"' in out and '"disk"' in out
-    assert ArtifactStore(store_dir).disk_stats()["entries"] >= 2
+    scan = ArtifactStore(store_dir).disk_stats()
+    assert scan["entries"] >= 2
+    assert "codegen" not in scan["kinds"]
+
+    # Stores written while the simulator still generated replay kernels
+    # hold entries of kind "codegen"; maintenance must keep handling them.
+    legacy = {"source": "def __kernel(pipe, addrs):\n    pass\n", "version": 2}
+    assert ArtifactStore(store_dir).store("codegen", "ab" * 32, legacy)
 
     rc = main(["cache", "stats", "--artifact-dir", store_dir])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert payload["artifacts"]["entries"] >= 2
-    # Per-kind reporting enumerates the codegen kind alongside the others.
+    assert payload["artifacts"]["entries"] == scan["entries"] + 1
+    # Per-kind reporting lists the legacy kind beside the live ones.
     kinds = payload["artifacts"]["kinds"]
-    assert kinds["codegen"]["entries"] >= 1 and kinds["codegen"]["bytes"] > 0
+    assert kinds["codegen"]["entries"] == 1 and kinds["codegen"]["bytes"] > 0
     assert "timing" in kinds and "templates" in kinds
 
     rc = main(["cache", "prune", "--artifact-dir", store_dir, "--max-bytes", "0"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["artifacts"]["kept"] == 0
-    assert payload["artifacts"]["kinds"]["codegen"]["removed"] >= 1
+    assert payload["artifacts"]["kinds"]["codegen"]["removed"] == 1
     assert ArtifactStore(store_dir).disk_stats()["entries"] == 0
 
 

@@ -1,15 +1,17 @@
-"""Bit-identity of the exec-compiled replay kernels vs the interpreted walk.
+"""The retired exec-compiled replay tier stays retired, and its sweeps stay exact.
 
-``codegen="on"`` (the default) emits a specialized straight-line Python
-function per probe-verified shape class — opcodes unrolled, latencies and
-register indices inlined as literals — and dispatches to it instead of the
-interpreted program.  The contract is the same as every prior engine mode:
-*exact* equality with the interpreted path for every method, machine and
-grid shape, with any probe mismatch or ``exec`` failure demoting that class
-permanently to the interpreted program.  These tests enforce that contract
-across the whole method registry on both machine presets, exercise the
-forced-demotion and exec-failure fallbacks, and pin the ``REPRO_CODEGEN``
-selection plumbing.
+The simulator once replayed probe-verified shape classes through generated
+straight-line Python kernels.  That tier is gone: the interpreted walks it
+was verified against (``PipelineModel.process_template``,
+``FunctionalEngine.execute_template`` and the columnar scoreboard walk)
+are the compiled engine's only replay paths, and
+:func:`repro.machine.codegen.codegen_stats` survives only as an all-zero
+stub for the benchmark's ``machine.codegen.*`` metrics.
+
+These tests keep the tier's registry x {LX2, M4} x odd-grid sweeps and
+check the two things that remain true after its removal: every compiled
+run is bit-identical to the reference per-instruction walk, and no run
+moves a ``codegen_stats`` counter off zero.
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ import pytest
 
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import METHODS, make_kernel
-from repro.machine import codegen as codegen_mod
 from repro.machine.artifacts import install_artifact_store
-from repro.machine.codegen import (
-    CODEGEN_MODES,
-    codegen_stats,
-    default_codegen,
-    reset_codegen_stats,
-)
+from repro.machine.codegen import codegen_stats
 from repro.machine.compiled import clear_program_pool
 from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
@@ -46,16 +42,18 @@ PLAN = SamplePlan(warmup_bands=1, min_measure_points=600)
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """Fresh pools, counters and store state for every test."""
+    """Fresh pools and store state for every test."""
     monkeypatch.delenv("REPRO_ARTIFACTS", raising=False)
-    monkeypatch.delenv("REPRO_CODEGEN", raising=False)
     install_artifact_store(None)
     clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
     yield
     install_artifact_store(None)
     clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
+
+
+def _assert_tier_idle():
+    stats = codegen_stats()
+    assert stats and all(value == 0 for value in stats.values())
 
 
 def _build(method, machine_name, stencil, rows, cols):
@@ -72,13 +70,14 @@ def _build(method, machine_name, stencil, rows, cols):
     return kernel, config, mem, dst
 
 
-def _timed(method, machine_name, stencil, rows, cols, codegen, timing="scalar"):
+def _timed(method, machine_name, stencil, rows, cols, engine, timing="scalar"):
     built = _build(method, machine_name, stencil, rows, cols)
     if built is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
     kernel, config, _, _ = built
-    engine = TimingEngine(config, engine="compiled", timing=timing, codegen=codegen)
-    return engine.run(kernel, sample=True, plan=PLAN)
+    return TimingEngine(config, engine=engine, timing=timing).run(
+        kernel, sample=True, plan=PLAN
+    )
 
 
 # -- timing bit identity ------------------------------------------------------
@@ -88,41 +87,34 @@ def _timed(method, machine_name, stencil, rows, cols, codegen, timing="scalar"):
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_timing_codegen_bit_identical(method, machine_name, stencil, rows, cols):
-    interp = _timed(method, machine_name, stencil, rows, cols, "off")
-    reset_codegen_stats()
-    generated = _timed(method, machine_name, stencil, rows, cols, "on")
-    stats = codegen_stats()
-    assert generated.to_dict() == interp.to_dict()
-    assert stats["generated"] >= 1
-    assert stats["verified"] >= 1
-    assert stats["demoted"] == 0 and stats["exec_failed"] == 0
+    """Sampled scalar replay through the interpreted walk equals the
+    reference engine, with the retired tier's counters untouched."""
+    reference = _timed(method, machine_name, stencil, rows, cols, "reference")
+    compiled = _timed(method, machine_name, stencil, rows, cols, "compiled")
+    assert compiled.to_dict() == reference.to_dict()
+    _assert_tier_idle()
 
 
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 def test_columnar_chunk_codegen_bit_identical(machine_name):
-    """Phase-P chunk bodies are also generatable, with the same contract."""
-    interp = _timed("hstencil", machine_name, "star2d9p", 33, 48, "off", "columnar")
-    reset_codegen_stats()
-    generated = _timed("hstencil", machine_name, "star2d9p", 33, 48, "on", "columnar")
-    stats = codegen_stats()
-    assert generated.to_dict() == interp.to_dict()
-    assert stats["chunk_generated"] >= 1
-    assert stats["chunk_demoted"] == 0
+    """Phase-P chunks replay through the scoreboard walk, still exactly."""
+    args = ("hstencil", machine_name, "star2d9p", 33, 48)
+    reference = _timed(*args, "reference")
+    columnar = _timed(*args, "compiled", "columnar")
+    assert columnar.to_dict() == reference.to_dict()
+    _assert_tier_idle()
 
 
 def test_full_run_codegen_bit_identical():
-    """Exact (unsampled) runs dispatch through the same generated kernels."""
-    built = _build("hstencil", "LX2", "star2d5p", 31, 35)
-    kernel, config, _, _ = built
-    interp = TimingEngine(config, engine="compiled", codegen="off").run(
-        kernel, sample=False, warm=True
-    )
-    built = _build("hstencil", "LX2", "star2d5p", 31, 35)
-    kernel, config, _, _ = built
-    generated = TimingEngine(config, engine="compiled", codegen="on").run(
-        kernel, sample=False, warm=True
-    )
-    assert generated.to_dict() == interp.to_dict()
+    """Exact (unsampled) runs replay the same way."""
+    runs = {}
+    for engine in ("reference", "compiled"):
+        kernel, config, _, _ = _build("hstencil", "LX2", "star2d5p", 31, 35)
+        runs[engine] = TimingEngine(config, engine=engine).run(
+            kernel, sample=False, warm=True
+        )
+    assert runs["compiled"].to_dict() == runs["reference"].to_dict()
+    _assert_tier_idle()
 
 
 # -- functional bit identity --------------------------------------------------
@@ -132,126 +124,15 @@ def test_full_run_codegen_bit_identical():
 @pytest.mark.parametrize("method", ["hstencil", "vector-only"])
 def test_functional_codegen_bit_identical(method, machine_name):
     grids = {}
-    for mode in ("off", "on"):
+    for engine in ("reference", "compiled"):
         clear_program_pool(reset_stats=True)
         built = _build(method, machine_name, "box2d9p", 37, 29)
         if built is None:
             pytest.skip(f"{method} not applicable on {machine_name}")
         kernel, _, mem, dst = built
-        fe = FunctionalEngine(mem, codegen=(mode == "on"))
-        fe.run_kernel(kernel, engine="compiled")
-        grids[mode] = (dst.get_full().copy(), fe.instructions_executed)
-    assert np.array_equal(grids["on"][0], grids["off"][0])
-    assert grids["on"][1] == grids["off"][1]
-    stats = codegen_stats()
-    assert stats["generated"] >= 1 and stats["demoted"] == 0
-
-
-# -- demotion ladder ----------------------------------------------------------
-
-
-def test_forced_demotion_falls_back_bit_identically(monkeypatch):
-    """A class that fails the live probe must demote permanently and keep
-    producing counters identical to the interpreted walk."""
-    interp = _timed("hstencil", "LX2", "box2d9p", 37, 29, "off")
-    reset_codegen_stats()
-    # Every timing probe "fails": all shape classes must demote.
-    monkeypatch.setattr(codegen_mod, "_pipes_match", lambda clone, pipe: False)
-    generated = _timed("hstencil", "LX2", "box2d9p", 37, 29, "on")
-    stats = codegen_stats()
-    assert stats["demoted"] >= 1
-    assert stats["verified"] == 0
-    assert generated.to_dict() == interp.to_dict()
-
-
-def test_exec_failure_demotes_bit_identically(monkeypatch):
-    """Unparseable generated source is an automatic demotion, not an error."""
-    interp = _timed("hstencil", "LX2", "star2d9p", 33, 48, "off")
-    reset_codegen_stats()
-    monkeypatch.setattr(
-        codegen_mod, "timing_kernel_source", lambda program, config: "def __kernel("
-    )
-    generated = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    stats = codegen_stats()
-    assert stats["exec_failed"] >= 1
-    assert stats["demoted"] >= 1
-    assert stats["generated"] == 0
-    assert generated.to_dict() == interp.to_dict()
-
-
-def test_chunk_exec_failure_demotes_bit_identically(monkeypatch):
-    interp = _timed("hstencil", "LX2", "star2d9p", 33, 48, "off", "columnar")
-    reset_codegen_stats()
-    monkeypatch.setattr(
-        codegen_mod, "chunk_walk_source", lambda chunk, ports, config: "def __chunk("
-    )
-    generated = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on", "columnar")
-    stats = codegen_stats()
-    assert stats["chunk_demoted"] >= 1
-    assert generated.to_dict() == interp.to_dict()
-
-
-# -- warm store loads ---------------------------------------------------------
-
-
-def test_store_load_skips_generation(tmp_path):
-    """A warm process loads kernels from the AOT store: zero generations."""
-    install_artifact_store(str(tmp_path))
-    cold = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    cold_stats = codegen_stats()
-    assert cold_stats["generated"] >= 1
-    assert cold_stats["store_writes"] == cold_stats["generated"]
-    clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
-    warm = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    warm_stats = codegen_stats()
-    assert warm.to_dict() == cold.to_dict()
-    assert warm_stats["generated"] == 0
-    assert warm_stats["loaded"] == cold_stats["generated"]
-    assert warm_stats["demoted"] == 0
-
-
-def test_version_skew_demotes_on_load(tmp_path, monkeypatch):
-    """A stored kernel from a different generator version never runs."""
-    install_artifact_store(str(tmp_path))
-    cold = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
-    # Version skew on the *payload* check (the digest still matches because
-    # we fake the stored blob's version, not the lookup's).
-    original = codegen_mod._state_from_payload
-
-    def skewed(data, flavor, content, namespace, *args, **kwargs):
-        data = dict(data, version=codegen_mod.CODEGEN_VERSION + 1)
-        return original(data, flavor, content, namespace, *args, **kwargs)
-
-    monkeypatch.setattr(codegen_mod, "_state_from_payload", skewed)
-    demoted = _timed("hstencil", "LX2", "star2d9p", 33, 48, "on")
-    stats = codegen_stats()
-    assert stats["demoted"] >= 1 and stats["loaded"] == 0
-    assert demoted.to_dict() == cold.to_dict()
-
-
-# -- mode selection -----------------------------------------------------------
-
-
-class TestCodegenSelection:
-    def test_default_codegen_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CODEGEN", raising=False)
-        assert default_codegen() == "on"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "off")
-        assert default_codegen() == "off"
-        assert TimingEngine(LX2()).codegen == "off"
-
-    def test_unknown_codegen_rejected(self):
-        with pytest.raises(ValueError, match="unknown codegen"):
-            TimingEngine(LX2(), codegen="fast")
-
-    def test_modes_are_exactly_the_documented_pair(self):
-        assert CODEGEN_MODES == ("on", "off")
-
-    def test_reference_engine_never_uses_codegen(self):
-        engine = TimingEngine(LX2(), engine="reference", codegen="on")
-        assert engine._make_pipe().codegen is False
+        fe = FunctionalEngine(mem)
+        fe.run_kernel(kernel, engine=engine)
+        grids[engine] = (dst.get_full().copy(), fe.instructions_executed)
+    assert np.array_equal(grids["compiled"][0], grids["reference"][0])
+    assert grids["compiled"][1] == grids["reference"][1]
+    _assert_tier_idle()

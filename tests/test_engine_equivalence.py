@@ -25,8 +25,9 @@ from repro.stencils.library import benchmark
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
-#: (stencil, rows, cols): one conforming size and one odd/tail size.
-GRIDS = [("star2d9p", 32, 32), ("box2d9p", 21, 27)]
+#: (stencil, rows, cols): one conforming size and odd/tail sizes.
+GRIDS = [("star2d9p", 32, 32), ("box2d9p", 21, 27), ("box2d9p", 37, 29), ("star2d5p", 31, 35)]
+GRID_IDS = ["star2d9p", "box2d9p-odd", "box2d9p-37x29", "star2d5p-31x35"]
 
 
 def _build(method, machine_name, stencil, rows, cols):
@@ -43,7 +44,7 @@ def _build(method, machine_name, stencil, rows, cols):
     return kernel, config, mem, dst
 
 
-@pytest.mark.parametrize("stencil,rows,cols", GRIDS, ids=[g[0] + "-odd" * (g[1] % 2) for g in GRIDS])
+@pytest.mark.parametrize("stencil,rows,cols", GRIDS, ids=GRID_IDS)
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_timing_counters_bit_identical(method, machine_name, stencil, rows, cols):
@@ -56,7 +57,7 @@ def test_timing_counters_bit_identical(method, machine_name, stencil, rows, cols
     assert cmp_.to_dict() == ref.to_dict()
 
 
-@pytest.mark.parametrize("stencil,rows,cols", GRIDS, ids=[g[0] + "-odd" * (g[1] % 2) for g in GRIDS])
+@pytest.mark.parametrize("stencil,rows,cols", GRIDS, ids=GRID_IDS)
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_functional_grids_bit_identical(method, machine_name, stencil, rows, cols):

@@ -306,28 +306,28 @@ def test_shutdown_fails_queued_tasks():
     drive(main())
 
 
-# -- codegen artifact races --------------------------------------------------
+# -- artifact races ----------------------------------------------------------
 
 
 def test_two_workers_generate_same_classes_on_cold_store(tmp_path):
-    """Two workers racing to generate the same shape classes on a cold
+    """Two workers racing to compile the same shape classes on a cold
     artifact store both succeed via the atomic-write path, leaving exactly
-    one stored entry per class and a store a fresh process warms from."""
+    one stored entry per digest and a store a fresh process warms from."""
     import json
-    import os as os_mod
 
-    from repro.machine.codegen import codegen_stats, reset_codegen_stats
-    from repro.machine.compiled import clear_program_pool
+    from repro.kernels.template import compile_stats, reset_compile_stats
+    from repro.machine.artifacts import install_artifact_store
+    from repro.machine.compiled import clear_program_pool, program_pool_stats
 
     store = tmp_path / "artifacts"
     # Same method/stencil, different shapes: the cells never coalesce, so
     # both workers run concurrently — and their kernels share interior
-    # shape classes, so both try to persist the same codegen digests.
+    # shape classes, so both try to persist the same template digests.
     cells = [("hstencil", "star2d9p", (33, 48)), ("hstencil", "star2d9p", (35, 48))]
 
     async def main():
         async with StencilService(
-            workers=2, artifact_dir=str(store), timing="scalar", codegen="on"
+            workers=2, artifact_dir=str(store), timing="scalar"
         ) as service:
             job = await service.submit(cells, lane="batch")
             return await job.results()
@@ -336,27 +336,37 @@ def test_two_workers_generate_same_classes_on_cold_store(tmp_path):
     assert all(r.ok for r in results)
 
     files = []
-    for dirpath, _dirs, names in os_mod.walk(store / "codegen"):
-        files.extend(os_mod.path.join(dirpath, n) for n in names)
+    for dirpath, _dirs, names in os.walk(store):
+        files.extend(os.path.join(dirpath, n) for n in names)
     json_files = [p for p in files if p.endswith(".json")]
-    assert json_files, "workers persisted no codegen entries"
+    assert json_files, "workers persisted no artifacts"
     # Atomic replace: every entry parses, and no temp files leak.
     assert [p for p in files if not p.endswith(".json")] == []
-    digests = [os_mod.path.splitext(os_mod.path.basename(p))[0] for p in json_files]
-    assert len(digests) == len(set(digests))
+    entries = [
+        (os.path.relpath(os.path.dirname(p), store).split(os.sep)[0],
+         os.path.splitext(os.path.basename(p))[0])
+        for p in json_files
+    ]
+    assert len(entries) == len(set(entries))
     for path in json_files:
         with open(path) as fh:
             json.load(fh)
 
-    # A fresh process (fresh pools, same store) loads instead of generating.
-    clear_program_pool(reset_stats=True)
-    reset_codegen_stats()
-    warm = ExperimentRunner(LX2(), timing="scalar", artifact_dir=str(store))
-    warm.measure(*cells[0])
-    stats = codegen_stats()
-    assert stats["generated"] == 0
-    assert stats["loaded"] >= 1
-    assert stats["demoted"] == 0
+    # A fresh process (fresh pools, same store) loads instead of compiling.
+    try:
+        clear_program_pool(reset_stats=True)
+        reset_compile_stats()
+        warm = ExperimentRunner(LX2(), timing="scalar", artifact_dir=str(store))
+        warm.measure(*cells[0])
+        stats = compile_stats()
+        assert stats["compiled_classes"] == 0
+        assert stats["loaded_classes"] >= 1
+        assert stats["load_demotions"] == 0
+        assert program_pool_stats()["builds"] == 0
+    finally:
+        install_artifact_store(None)
+        clear_program_pool(reset_stats=True)
+        reset_compile_stats()
 
 
 # -- socket transport --------------------------------------------------------
