@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Tuple
+from typing import ClassVar, Dict, Iterable, Tuple
 
-from repro.isa.registers import SVL_LANES, TileReg, VReg
+from repro.isa.registers import SVL_LANES, TILE_NAMES, VREG_NAMES, TileReg, VReg
 
 #: Scoreboard key type: vector regs use their name, tiles use (name, row).
 DepKey = object
@@ -55,15 +55,32 @@ class PortClass(enum.Enum):
     SCALAR = "X"
 
 
-def _vkey(reg: VReg) -> DepKey:
-    return reg.name
-
-
-def _tile_keys(tile: TileReg, rows: Iterable[int]) -> Tuple[DepKey, ...]:
-    return tuple((tile.name, r) for r in rows)
-
-
 ALL_ROWS: Tuple[int, ...] = tuple(range(SVL_LANES))
+
+# Dependence keys are computed once, not per call: the scheduler asks every
+# instruction of every emitted block for them.  Scoreboards, scheduler keys,
+# trace signatures and stored artifact digests are all built from these
+# values, so they must never change: ``VREG_NAMES[i]`` (``z<i>``) for a
+# vector register, ``("za<t>", row)`` for a tile slice.
+
+#: Slice-key tuple by tile index, then sorted row subset.  Filled on first
+#: use: the benchmark kernels touch about a hundred of the 2048 entries.
+_TILE_KEYS: Tuple[Dict[Tuple[int, ...], Tuple[DepKey, ...]], ...] = tuple(
+    {} for _ in TILE_NAMES
+)
+
+
+def _tile_keys(tile: TileReg, rows: Tuple[int, ...]) -> Tuple[DepKey, ...]:
+    table = _TILE_KEYS[tile.index]
+    keys = table.get(rows)
+    if keys is None:
+        name = TILE_NAMES[tile.index]
+        keys = tuple((name, r) for r in rows)
+        # Only sorted, distinct, in-range rows are entered, which bounds
+        # each table at the 256 row subsets of a tile.
+        if rows == tuple(r for r in ALL_ROWS if r in rows):
+            table[rows] = keys
+    return keys
 
 
 @dataclass(slots=True)
@@ -133,7 +150,7 @@ class LD1D(Instruction):
             raise ValueError(f"load mask out of range: {self.mask}")
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
     def mem_reads(self) -> Tuple[Tuple[int, int], ...]:
         return ((self.addr, self.mask),)
@@ -157,7 +174,7 @@ class LD1D_STRIDED(Instruction):
     port = PortClass.LOAD
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
     def mem_reads(self) -> Tuple[Tuple[int, int], ...]:
         return tuple((self.addr + k * self.stride, 1) for k in range(SVL_LANES))
@@ -179,7 +196,7 @@ class ST1D(Instruction):
             raise ValueError(f"store mask out of range: {self.mask}")
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.src),)
+        return (VREG_NAMES[self.src.index],)
 
     def mem_writes(self) -> Tuple[Tuple[int, int], ...]:
         return ((self.addr, self.mask),)
@@ -249,10 +266,10 @@ class FMLA(Instruction):
     port = PortClass.VECTOR
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst), _vkey(self.a), _vkey(self.b))
+        return (VREG_NAMES[self.dst.index], VREG_NAMES[self.a.index], VREG_NAMES[self.b.index])
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
     @property
     def flops(self) -> int:
@@ -276,10 +293,10 @@ class FMLA_IDX(Instruction):
     port = PortClass.VECTOR
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst), _vkey(self.a), _vkey(self.b))
+        return (VREG_NAMES[self.dst.index], VREG_NAMES[self.a.index], VREG_NAMES[self.b.index])
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
     @property
     def flops(self) -> int:
@@ -302,10 +319,10 @@ class FMUL_IDX(Instruction):
     port = PortClass.VECTOR
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.a), _vkey(self.b))
+        return (VREG_NAMES[self.a.index], VREG_NAMES[self.b.index])
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
     @property
     def flops(self) -> int:
@@ -324,10 +341,10 @@ class FADD_V(Instruction):
     port = PortClass.VECTOR
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.a), _vkey(self.b))
+        return (VREG_NAMES[self.a.index], VREG_NAMES[self.b.index])
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
     @property
     def flops(self) -> int:
@@ -358,10 +375,10 @@ class EXT(Instruction):
             raise ValueError(f"EXT immediate out of range: {self.imm}")
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.a), _vkey(self.b))
+        return (VREG_NAMES[self.a.index], VREG_NAMES[self.b.index])
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
 
 @dataclass(slots=True)
@@ -375,7 +392,7 @@ class DUP(Instruction):
     port = PortClass.VECTOR
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
 
 @dataclass(slots=True)
@@ -399,12 +416,33 @@ class SET_LANES(Instruction):
         self.values = tuple(float(v) for v in self.values)
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
 
 # ---------------------------------------------------------------------------
 # Matrix instructions
 # ---------------------------------------------------------------------------
+
+
+#: Sorted, de-duplicated lanes by raw ``rows``/``useful_cols`` tuple.  FMOPA
+#: is built on every emit and every stored-trace decode; only raw tuples
+#: whose lanes passed the range check are entered.
+_LANES: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+
+def _lanes(raw: Iterable[int], what: str) -> Tuple[int, ...]:
+    cacheable = type(raw) is tuple
+    if cacheable:
+        lanes = _LANES.get(raw)  # type: ignore[arg-type]
+        if lanes is not None:
+            return lanes
+    lanes = tuple(sorted(set(raw)))
+    for lane in lanes:
+        if not 0 <= lane < SVL_LANES:
+            raise ValueError(f"FMOPA {what} out of range: {lane}")
+    if cacheable:
+        _LANES[raw] = lanes  # type: ignore[index]
+    return lanes
 
 
 @dataclass(slots=True)
@@ -433,17 +471,13 @@ class FMOPA(Instruction):
     port = PortClass.MATRIX
 
     def __post_init__(self) -> None:
-        self.rows = tuple(sorted(set(self.rows)))
-        self.useful_cols = tuple(sorted(set(self.useful_cols)))
-        for r in self.rows:
-            if not 0 <= r < SVL_LANES:
-                raise ValueError(f"FMOPA row out of range: {r}")
-        for c in self.useful_cols:
-            if not 0 <= c < SVL_LANES:
-                raise ValueError(f"FMOPA column out of range: {c}")
+        self.rows = _lanes(self.rows, "row")
+        self.useful_cols = _lanes(self.useful_cols, "column")
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.coef), _vkey(self.src)) + _tile_keys(self.tile, self.rows)
+        return (VREG_NAMES[self.coef.index], VREG_NAMES[self.src.index]) + _tile_keys(
+            self.tile, self.rows
+        )
 
     def writes(self) -> Tuple[DepKey, ...]:
         return _tile_keys(self.tile, self.rows)
@@ -492,7 +526,7 @@ class MOVA_TILE_TO_VEC(Instruction):
         return _tile_keys(self.tile, (self.row,))
 
     def writes(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.dst),)
+        return (VREG_NAMES[self.dst.index],)
 
 
 @dataclass(slots=True)
@@ -507,7 +541,7 @@ class MOVA_VEC_TO_TILE(Instruction):
     port = PortClass.MATRIX
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return (_vkey(self.src),)
+        return (VREG_NAMES[self.src.index],)
 
     def writes(self) -> Tuple[DepKey, ...]:
         return _tile_keys(self.tile, (self.row,))
@@ -551,8 +585,11 @@ class FMLA_M(Instruction):
         return tuple(_V(self.a_base.index + g) for g in range(self.GROUP))
 
     def reads(self) -> Tuple[DepKey, ...]:
-        return tuple(_vkey(r) for r in self.group_regs()) + (_vkey(self.b),) + _tile_keys(
-            self.tile, self.EVEN_ROWS
+        base = self.a_base.index
+        return (
+            VREG_NAMES[base : base + self.GROUP]
+            + (VREG_NAMES[self.b.index],)
+            + _tile_keys(self.tile, self.EVEN_ROWS)
         )
 
     def writes(self) -> Tuple[DepKey, ...]:

@@ -16,6 +16,7 @@ use them as scoreboard keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -27,6 +28,12 @@ NUM_VREGS = 32
 
 #: Number of FP64 matrix tile registers (za0..za7, as in SME ZA storage).
 NUM_TILES = 8
+
+#: Register names by index, formatted once.  Names are the dependence keys
+#: of the timing engine and appear in every trace-signature digest, so
+#: their values must never change.
+VREG_NAMES: Tuple[str, ...] = tuple(f"z{i}" for i in range(NUM_VREGS))
+TILE_NAMES: Tuple[str, ...] = tuple(f"za{i}" for i in range(NUM_TILES))
 
 
 @dataclass(frozen=True)
@@ -45,7 +52,7 @@ class VReg:
 
     @property
     def name(self) -> str:
-        return f"z{self.index}"
+        return VREG_NAMES[self.index]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
@@ -69,7 +76,7 @@ class TileReg:
 
     @property
     def name(self) -> str:
-        return f"za{self.index}"
+        return TILE_NAMES[self.index]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.name

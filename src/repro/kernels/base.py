@@ -206,6 +206,9 @@ class StencilKernelBase(Kernel):
         self.config = config
         self.options = options or KernelOptions()
         self.name = self.method
+        #: ``(table name, base, words)`` of every coefficient table placed
+        #: in simulated memory; emitted loads embed these bases.
+        self.rodata: List[Tuple[str, int, int]] = []
         self._validate()
 
     # -- validation -----------------------------------------------------------
@@ -247,6 +250,7 @@ class StencilKernelBase(Kernel):
         """Place a coefficient table into simulated memory; return base."""
         base = self.src.mem.alloc(table.size, name=f"{self.name}/{name}-{id(self):x}")
         self.src.mem.write_array(base, table)
+        self.rodata.append((name, base, int(table.size)))
         return base
 
     def _unit_vector_preamble(self) -> Trace:

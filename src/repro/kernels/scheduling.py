@@ -33,46 +33,69 @@ preserved by construction (property-tested in the test suite).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.isa.instructions import Instruction, PortClass, PRFM
 from repro.isa.program import Trace
-from repro.machine.config import MachineConfig
+from repro.machine.config import LatencySpec, MachineConfig
 
 #: Ready instructions examined per scheduling step (priority-ordered).
 _BEAM = 24
 
-#: Permutation cache keyed by (machine name, structural signature).
-_PERM_CACHE: Dict[Tuple, Tuple[int, ...]] = {}
+#: Permutation cache keyed by (machine name, structural signature); each
+#: permutation is kept as the ``itemgetter`` that applies it.
+_PERM_CACHE: Dict[Tuple, Callable] = {}
 
 
-def _signature(trace: Sequence[Instruction]) -> Tuple:
-    """Structural signature: registers and ports, addresses ignored."""
-    return tuple(
-        (ins.mnemonic, ins.port, tuple(ins.reads()), tuple(ins.writes()))
-        for ins in trace
+#: Per instruction class: the ``(mnemonic, port value)`` head of its
+#: signature entries (``mnemonic`` and ``port`` are class attributes; the
+#: port enum's own hash is a Python-level call), and whether it has memory
+#: effects the aliasing check must see.
+_CLASS_INFO: Dict[type, Tuple[Tuple[str, str], bool]] = {}
+
+
+def _class_info(cls: type) -> Tuple[Tuple[str, str], bool]:
+    # Prefetch hints carry no ordering requirement; a class that keeps the
+    # base memory hooks touches no memory.
+    touches = not issubclass(cls, PRFM) and (
+        cls.mem_reads is not Instruction.mem_reads
+        or cls.mem_writes is not Instruction.mem_writes
     )
+    info = _CLASS_INFO[cls] = ((cls.mnemonic, cls.port.value), touches)
+    return info
 
 
-def _has_memory_aliasing(trace: Sequence[Instruction]) -> bool:
-    """True if any store overlaps any load or another store.
+def _signature(trace: Sequence[Instruction]) -> Tuple[Tuple, bool]:
+    """Structural signature and whether the block aliases memory.
 
-    Either case requires memory ordering edges (and disables permutation
-    caching).  The generated kernels keep loads and stores in disjoint
-    regions and never store twice to the same words within a block, so the
-    fast path applies to them; hand-written traces get the safe path.
+    The signature covers registers and ports, addresses ignored; it is the
+    permutation-cache key.  A block aliases when any store overlaps any
+    load or another store.  Either case requires memory ordering edges
+    (and disables permutation caching).  The generated kernels keep loads
+    and stores in disjoint regions and never store twice to the same words
+    within a block, so the fast path applies to them; hand-written traces
+    get the safe path.
     """
+    info_of = _CLASS_INFO.get
+    sig = []
+    sig_app = sig.append
     stores: List[Tuple[int, int]] = []
     loads: List[Tuple[int, int]] = []
-    s_app = stores.append
-    l_app = loads.append
     for ins in trace:
-        if isinstance(ins, PRFM):
-            continue  # hints carry no ordering requirement
-        for a, n in ins.mem_writes():
-            s_app((a, a + n))
-        for a, n in ins.mem_reads():
-            l_app((a, a + n))
+        cls = type(ins)
+        info = info_of(cls) or _class_info(cls)
+        sig_app((info[0], ins.reads(), ins.writes()))
+        if info[1]:
+            for a, n in ins.mem_writes():
+                stores.append((a, a + n))
+            for a, n in ins.mem_reads():
+                loads.append((a, a + n))
+    return tuple(sig), _overlaps(stores, loads)
+
+
+def _overlaps(stores: List[Tuple[int, int]], loads: List[Tuple[int, int]]) -> bool:
+    """True if any store interval overlaps a load or another store."""
     if not stores:
         return False
     stores.sort()
@@ -139,19 +162,16 @@ def _build_dag(
     return succs, indeg
 
 
-def _critical_paths(
-    trace: Sequence[Instruction], succs: List[List[int]], config: MachineConfig
-) -> List[int]:
+def _critical_paths(specs: Sequence[LatencySpec], succs: List[List[int]]) -> List[int]:
     """Longest latency path from each node to any sink."""
-    n = len(trace)
+    n = len(specs)
     cp = [0] * n
     for idx in range(n - 1, -1, -1):
-        lat = config.latency_for(trace[idx]).latency
         best = 0
         for s in succs[idx]:
             if cp[s] > best:
                 best = cp[s]
-        cp[idx] = lat + best
+        cp[idx] = specs[idx].latency + best
     return cp
 
 
@@ -170,60 +190,56 @@ def _greedy_order(
     port_free: Dict[PortClass, List[int]] = {
         port: [0] * count for port, count in config.ports.items()
     }
+    # Each instruction's operands, pipes and latency, looked up once.
+    deps = [ins.reads() + ins.writes() for ins in trace]
+    pipes_of = [port_free[ins.port] for ins in trace]
+    specs = [config.latency_for(ins) for ins in trace]
+    issue_width = config.issue_width
     frontier = 0
     cycle = 0
     issued = 0
     order: List[int] = []
 
     def estimate(idx: int) -> int:
-        ins = trace[idx]
         t = frontier
-        for key in ins.reads():
+        for key in deps[idx]:
             r = reg_ready.get(key, 0)
             if r > t:
                 t = r
-        for key in ins.writes():
-            r = reg_ready.get(key, 0)
-            if r > t:
-                t = r
-        pipes = port_free[ins.port]
-        p = min(pipes)
+        p = min(pipes_of[idx])
         if p > t:
             t = p
-        if t == cycle and issued >= config.issue_width:
+        if t == cycle and issued >= issue_width:
             t += 1
         return t
 
-    cps = _critical_paths(trace, succs, config)
+    cps = _critical_paths(specs, succs)
+    priority = [(-cps[i], i) for i in range(n)]
 
     while ready:
         # Examine the highest-priority ready instructions and commit the
         # one that can issue earliest.
-        ready.sort(key=lambda i: (-cps[i], i))
-        beam = ready[:_BEAM]
-        best_idx = None
+        ready.sort(key=priority.__getitem__)
         best_key = None
-        for i in beam:
-            t = estimate(i)
-            key = (t, -cps[i], i)
+        for i in ready[:_BEAM]:
+            key = (estimate(i), -cps[i], i)
             if best_key is None or key < best_key:
                 best_key = key
-                best_idx = i
-        assert best_idx is not None
+        assert best_key is not None
+        # Nothing ``estimate`` reads has changed since the scan.
+        t, _, best_idx = best_key
         ready.remove(best_idx)
-        ins = trace[best_idx]
-        spec = config.latency_for(ins)
-        t = estimate(best_idx)
+        spec = specs[best_idx]
         if t > cycle:
             cycle = t
             issued = 0
         issued += 1
-        pipes = port_free[ins.port]
+        pipes = pipes_of[best_idx]
         pipe = min(range(len(pipes)), key=pipes.__getitem__)
         pipes[pipe] = t + spec.initiation_interval
         frontier = t
         done = t + spec.latency
-        for key in ins.writes():
+        for key in trace[best_idx].writes():
             reg_ready[key] = done
         order.append(best_idx)
         for s in succs[best_idx]:
@@ -279,15 +295,15 @@ def schedule_trace(
         for start in range(0, len(trace), window):
             out.extend(schedule_trace(trace[start : start + window], config, window=0))
         return out
-    aliasing = _has_memory_aliasing(trace)
+    signature, aliasing = _signature(trace)
     if not aliasing:
-        key = (config.name, _signature(trace))
-        perm = _PERM_CACHE.get(key)
-        if perm is None:
+        key = (config.name, signature)
+        gather = _PERM_CACHE.get(key)
+        if gather is None:
             succs, indeg = _build_dag(trace, memory_edges=False)
             perm = _arbitrated_perm(trace, _greedy_order(trace, succs, indeg, config), config)
-            _PERM_CACHE[key] = perm
-        return Trace(trace[i] for i in perm)
+            gather = _PERM_CACHE[key] = itemgetter(*perm)
+        return Trace(gather(trace))
     succs, indeg = _build_dag(trace, memory_edges=True)
     order = _arbitrated_perm(trace, _greedy_order(trace, succs, indeg, config), config)
     return Trace(trace[i] for i in order)

@@ -422,6 +422,9 @@ class TraceCompiler:
                 "spec": _spec_fingerprint(spec),
                 "src": _grid_fingerprint(src),
                 "dst": _grid_fingerprint(dst),
+                # Coefficient-table bases are embedded in the emitted loads
+                # just as the grid bases are.
+                "rodata": [list(table) for table in getattr(kernel, "rodata", ())],
                 "options": dataclasses.asdict(options),
                 "shape": list(self.shape),
             }

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.isa.instructions import FMLA, FMOPA, LD1D, ST1D_SLICE
+from repro.isa.registers import TileReg, VReg
 from repro.kernels import template as template_mod
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import METHODS, make_kernel
@@ -43,6 +45,7 @@ from repro.machine.memory import MemorySpace
 from repro.machine.timing import TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+from repro.stencils.reference import apply_reference
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
@@ -150,6 +153,24 @@ def test_trace_codec_round_trip():
     assert back == trace
 
 
+def test_signature_digest_pinned():
+    """Every stored artifact is keyed by signature digests like this one.
+
+    A change to a register key, a repr or the signature layout would leave
+    every artifact store silently cold; this literal was recorded before
+    the dependence keys were tabulated.
+    """
+    trace = [
+        LD1D(VReg(0), 128),
+        LD1D(VReg(1), 136, mask=5),
+        FMLA(VReg(2), VReg(0), VReg(24)),
+        FMOPA(TileReg(3), VReg(25), VReg(1), rows=(6, 1, 3, 1), useful_cols=(0, 7)),
+        ST1D_SLICE(TileReg(3), 6, 4096, mask=7),
+    ]
+    digest = artifacts.signature_digest(compiled_mod.trace_signature(trace))
+    assert digest == "4dd0bfa4c025bd7d65110ea4d0c2e9bb"
+
+
 # -- corruption / skew / tampering -------------------------------------------
 
 
@@ -220,6 +241,43 @@ def test_tampered_template_demoted_on_load(tmp_path):
     stats = compile_stats()
     assert rebuilt == live  # demoted classes replay through the live path
     assert stats["load_demotions"] >= 1
+
+
+def test_template_identity_pins_coefficient_table_bases(tmp_path):
+    """A kernel whose coefficient tables moved never adopts a stored template.
+
+    The tables' addresses are embedded in the emitted loads, so a bundle
+    stored for one placement replays the wrong coefficients at another.
+    The identity must pin them even when the grids have not moved and the
+    verify memo already holds the stored entry.
+    """
+    install_artifact_store(str(tmp_path))
+    spec = benchmark("box2d9p")
+    config = LX2()
+    counted = ("compiled_classes", "loaded_classes", "verify_memo_hits", "load_demotions")
+
+    def run(pad_words):
+        mem = MemorySpace()
+        src = Grid2D(mem, 32, 32, spec.radius, "A", fill="random", seed=7)
+        dst = Grid2D(mem, 32, 32, spec.radius, "B")
+        if pad_words:
+            mem.alloc(pad_words)
+        kernel = make_kernel("matrix-only", spec, src, dst, config)
+        before = compile_stats()
+        FunctionalEngine(mem).run_kernel(kernel, engine="compiled")
+        after = compile_stats()
+        err = np.max(np.abs(dst.get_interior() - apply_reference(src.get_full(), spec)))
+        return float(err), {k: after[k] - before[k] for k in counted}
+
+    err, cold = run(0)
+    assert err < 1e-9 and cold["compiled_classes"] >= 1
+    err, warm = run(0)
+    assert err < 1e-9
+    assert warm["compiled_classes"] == 0 and warm["loaded_classes"] >= 1
+    err, moved = run(4096)
+    assert err < 1e-9
+    assert moved["verify_memo_hits"] == 0 and moved["loaded_classes"] == 0
+    assert moved["compiled_classes"] == cold["compiled_classes"]
 
 
 # -- program pool ------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for instruction dependency/memory/flop metadata."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.isa.instructions import (
@@ -24,7 +27,8 @@ from repro.isa.instructions import (
     ST1D_SLICE,
     ZERO_TILE,
 )
-from repro.isa.registers import TileReg, VReg
+from repro.isa.registers import NUM_TILES, NUM_VREGS, SVL_LANES, TileReg, VReg
+from repro.machine.artifacts import _TRACE_TYPES
 
 
 class TestMemoryInstructions:
@@ -116,8 +120,13 @@ class TestMatrixInstructions:
         assert ins.rows == (1, 3)
 
     def test_fmopa_row_range_checked(self):
-        with pytest.raises(ValueError):
-            FMOPA(TileReg(0), VReg(0), VReg(1), rows=(8,))
+        # Twice: a rejected value must not be remembered as valid.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                FMOPA(TileReg(0), VReg(0), VReg(1), rows=(8,))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                FMOPA(TileReg(0), VReg(0), VReg(1), useful_cols=[3, -1])
 
     def test_fmopa_useful_cols(self):
         ins = FMOPA(TileReg(0), VReg(0), VReg(1), useful_cols=(0, 1))
@@ -156,3 +165,92 @@ class TestScalar:
         assert ins.reads() == () and ins.writes() == ()
         assert ins.flops == 0
         assert ins.port is PortClass.SCALAR
+
+
+# -- dependence keys against the plain formula --------------------------------
+
+
+def _vk(reg):
+    return reg.name
+
+
+def _tk(tile, rows):
+    return tuple((tile.name, r) for r in rows)
+
+
+#: ``(reads, writes)`` of every codec instruction type, written out from
+#: the register names: the values every scoreboard and digest is built on.
+PLAIN_KEYS = {
+    LD1D: lambda i: ((), (_vk(i.dst),)),
+    LD1D_STRIDED: lambda i: ((), (_vk(i.dst),)),
+    ST1D: lambda i: ((_vk(i.src),), ()),
+    ST1D_SLICE: lambda i: (_tk(i.tile, (i.row,)), ()),
+    PRFM: lambda i: ((), ()),
+    FMLA: lambda i: ((_vk(i.dst), _vk(i.a), _vk(i.b)), (_vk(i.dst),)),
+    FMLA_IDX: lambda i: ((_vk(i.dst), _vk(i.a), _vk(i.b)), (_vk(i.dst),)),
+    FMUL_IDX: lambda i: ((_vk(i.a), _vk(i.b)), (_vk(i.dst),)),
+    FADD_V: lambda i: ((_vk(i.a), _vk(i.b)), (_vk(i.dst),)),
+    EXT: lambda i: ((_vk(i.a), _vk(i.b)), (_vk(i.dst),)),
+    DUP: lambda i: ((), (_vk(i.dst),)),
+    SET_LANES: lambda i: ((), (_vk(i.dst),)),
+    FMOPA: lambda i: (
+        (_vk(i.coef), _vk(i.src)) + _tk(i.tile, i.rows),
+        _tk(i.tile, i.rows),
+    ),
+    ZERO_TILE: lambda i: ((), _tk(i.tile, ALL_ROWS)),
+    MOVA_TILE_TO_VEC: lambda i: (_tk(i.tile, (i.row,)), (_vk(i.dst),)),
+    MOVA_VEC_TO_TILE: lambda i: ((_vk(i.src),), _tk(i.tile, (i.row,))),
+    FMLA_M: lambda i: (
+        tuple(_vk(r) for r in i.group_regs()) + (_vk(i.b),) + _tk(i.tile, FMLA_M.EVEN_ROWS),
+        _tk(i.tile, FMLA_M.EVEN_ROWS),
+    ),
+    SCALAR_OP: lambda i: ((), ()),
+}
+
+
+def _random_instruction(cls, rng, as_list):
+    """One ``cls`` with random registers, lanes and immediates."""
+    lanes = range(SVL_LANES)
+    draw = {
+        "a_base": lambda: VReg(rng.randrange(NUM_VREGS - FMLA_M.GROUP + 1)),
+        "rows": lambda: [rng.choice(lanes) for _ in range(rng.randrange(1, 10))],
+        "useful_cols": lambda: [rng.choice(lanes) for _ in range(rng.randrange(1, 10))],
+        "row": lambda: rng.choice(lanes),
+        "idx": lambda: rng.choice(lanes),
+        "imm": lambda: rng.randrange(SVL_LANES + 1),
+        "mask": lambda: rng.randrange(1, SVL_LANES + 1),
+        "values": lambda: tuple(rng.random() for _ in lanes),
+        "value": rng.random,
+        "write": lambda: rng.random() < 0.5,
+        "kind": lambda: "loop",
+    }
+    args = {}
+    for f in dataclasses.fields(cls):
+        if f.name in draw:
+            value = draw[f.name]()
+        elif f.type in ("VReg", VReg):
+            value = VReg(rng.randrange(NUM_VREGS))
+        elif f.type in ("TileReg", TileReg):
+            value = TileReg(rng.randrange(NUM_TILES))
+        else:
+            value = rng.randrange(1, 1 << 20)  # addresses, strides, lengths
+        if isinstance(value, list) and not as_list:
+            value = tuple(value)
+        args[f.name] = value
+    return cls(**args)
+
+
+def test_plain_keys_cover_the_codec():
+    assert set(PLAIN_KEYS) == set(_TRACE_TYPES)
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["tuple", "list"])
+@pytest.mark.parametrize("cls", _TRACE_TYPES, ids=lambda c: c.__name__)
+def test_dependence_keys_match_plain_formula(cls, as_list):
+    rng = random.Random(f"{cls.__name__}-{as_list}")
+    for _ in range(40):
+        ins = _random_instruction(cls, rng, as_list)
+        reads, writes = PLAIN_KEYS[cls](ins)
+        assert type(ins.reads()) is tuple and type(ins.writes()) is tuple
+        assert ins.reads() == reads and repr(ins.reads()) == repr(reads)
+        assert ins.writes() == writes and repr(ins.writes()) == repr(writes)
