@@ -4,16 +4,20 @@ Two workloads, one artifact (``benchmarks/results/BENCH_simspeed.json``):
 
 * **Figure 12 in-cache workload** (128x128, full simulation, warm pass,
   ``iters = 16`` repeated measured passes — the paper's hardware-benchmark
-  methodology) through three engine configurations:
+  methodology) through four engine configurations:
 
   - ``reference``: per-instruction object walk, every pass simulated;
-  - ``compiled`` with ``REPRO_MEMO=off``: template replay, every pass
-    simulated (the pre-memoization engine — the baseline the memoization
-    speedup is measured against);
+  - ``compiled`` with ``REPRO_MEMO=off`` and scalar timing: template
+    replay, every pass simulated (the pre-memoization engine — the
+    baseline the memoization speedup is measured against);
+  - ``compiled`` with ``REPRO_MEMO=off`` and columnar timing: the same,
+    with every pass batched band-at-a-time by the columnar replayer;
   - ``compiled`` with ``REPRO_MEMO=pass`` (the default): template replay
     plus pass-level fixed-point memoization — once the machine state
     signature at a pass boundary recurs, the remaining passes are applied
     arithmetically.
+
+  ``off`` and ``pass`` are the only two ``REPRO_MEMO`` modes.
 
 * **Figure 15-style out-of-cache workload**: band-sampled large grids
   (``iters = 1``; sampling and repeated iters are mutually exclusive)
@@ -68,7 +72,7 @@ INCACHE_COLUMNAR_TARGET = 1.5
 
 #: Out-of-cache target: columnar replay vs the reference walk on the
 #: band-sampled workload (the floor leaves CI noise room below the
-#: measured ratio).  Out of cache neither memo layer can fire (the cache
+#: measured ratio).  Out of cache the pass memo cannot fire (the cache
 #: state never recurs), so this is compile-once + address-stream replay
 #: plus the block/chunk scoreboard memo over relative contexts.  The
 #: combined cell includes the ``auto`` kernel, whose large blocks make the
@@ -736,10 +740,10 @@ def test_smoke_simspeed_engines_agree():
 
 
 def test_smoke_simspeed_memo_modes_agree():
-    """All REPRO_MEMO modes produce bit-identical iterated counters."""
+    """Both REPRO_MEMO modes produce bit-identical iterated counters."""
     cell = ("hstencil", "star2d5p", (64, 64))
     counters = {}
-    for memo in ("off", "block", "pass", "full"):
+    for memo in ("off", "pass"):
         seconds, instructions, by_cell = _run_config("compiled", memo, [cell], iters=4)
         counters[memo] = by_cell[cell]
     baseline = counters["off"]

@@ -146,20 +146,16 @@ def _grid_fingerprint(grid) -> Dict:
     }
 
 
-def _frame_analysis(
-    addr0: np.ndarray, deltas: Tuple[Tuple[int, np.ndarray], ...]
-) -> Tuple[Tuple[bool, ...], int, Tuple[int, ...]]:
-    """Split a template's addresses into a static and a moving frame.
+def _two_frame_clean(deltas: Tuple[Tuple[int, np.ndarray], ...]) -> bool:
+    """Whether a template's addresses split into a static and a moving frame.
 
     A template is *two-frame clean* when one index set M moves by a single
     per-dimension stride (``delta_d[i] == v_d`` for every ``i`` in M) while
     the rest never move at all (``delta_d[i] == 0`` everywhere).  Then all
-    moving addresses shift **together** from block to block and everything
-    the timing memo records about them stays valid as a base-relative
-    offset.  Returns ``(static_flags, base_addr_idx, nonuniform_dims)``;
-    the last is non-empty only for unclean templates, which the memo skips.
+    moving addresses shift **together** from block to block, so one band's
+    footprint translates onto the next — the premise of steady-state
+    elision (:func:`repro.machine.steady.build_certificate`).
     """
-    n = len(addr0)
     moving = None
     for _d, delta in deltas:
         nz = np.nonzero(delta)[0]
@@ -167,25 +163,13 @@ def _frame_analysis(
             continue
         vals = delta[nz]
         if bool(np.any(vals != vals[0])):
-            moving = None
-            break
+            return False
         nzset = frozenset(nz.tolist())
         if moving is None:
             moving = nzset
         elif moving != nzset:
-            moving = None
-            break
-    else:
-        if moving is None:
-            # No address moves at all (single-block class): treat every
-            # address as moving so the class still relocates trivially.
-            return (False,) * n, 0, ()
-        static = tuple(i not in moving for i in range(n))
-        return static, min(moving), ()
-    nonuniform = tuple(
-        d for d, delta in deltas if delta.size > 1 and bool(np.any(delta != delta[0]))
-    )
-    return (False,) * n, 0, nonuniform
+            return False
+    return True
 
 
 def operand_extents(trace, addrs: Sequence[int]):
@@ -231,9 +215,7 @@ class RowTemplate:
         "key0",
         "addr0",
         "deltas",
-        "static_addrs",
-        "base_addr_idx",
-        "nonuniform_dims",
+        "two_frame_clean",
         "_addr0_list",
         "_functional",
         "_timing",
@@ -258,18 +240,9 @@ class RowTemplate:
         self.addr0 = addr0
         #: ``(dimension, per-address word delta)`` for each varying dimension.
         self.deltas = deltas
-        #: Two-frame partition of the address vector (see the timing memo):
-        #: ``static_addrs[i]`` is True when address ``i`` never moves with
-        #: the block key (coefficient tables, reduction scalars), and
-        #: ``base_addr_idx`` indexes a *moving* address — the frame origin
-        #: all relative line offsets are measured from.  ``nonuniform_dims``
-        #: is empty exactly when the template is two-frame clean (every
-        #: moving address shifts by the same amount per key step); otherwise
-        #: it lists the dimensions whose deltas shift addresses relative to
-        #: each other, and the memo skips the template.
-        self.static_addrs, self.base_addr_idx, self.nonuniform_dims = _frame_analysis(
-            addr0, deltas
-        )
+        #: See :func:`_two_frame_clean`; steady elision rejects unclean
+        #: templates.
+        self.two_frame_clean = _two_frame_clean(deltas)
         self._addr0_list: List[int] = addr0.tolist()
         self._functional: object = _UNBUILT
         self._timing: object = _UNBUILT

@@ -1,9 +1,9 @@
 """Columnar timing replay for the band-sampled (out-of-cache) path.
 
 Out-of-cache grids are where the simulator spends its time: cache state
-never recurs, so the pass- and block-level memoization layers never fire
-and every instruction of every sampled band takes a scalar Python trip
-through the scoreboard, the cache hierarchy and the prefetcher.  This
+never recurs, so the pass-level memoization never fires and every
+instruction of every sampled band takes a scalar Python trip through the
+scoreboard, the cache hierarchy and the prefetcher.  This
 module reorganizes that walk the same way the vectorization literature
 reorganizes stencil loops — hoist the regular part out and batch it:
 
@@ -44,10 +44,10 @@ reorganizes stencil loops — hoist the regular part out and batch it:
 ``REPRO_TIMING=columnar|scalar`` (and ``--timing`` on the CLI) selects
 this engine.  It engages on the compiled engine's band-sampled path *and*
 on full simulations' measured passes (the in-cache first pass that the
-pass-level fixed point cannot skip); ``REPRO_MEMO`` block-level modes keep
-the scalar memoized walk.  :class:`~repro.machine.timing.TimingEngine`
-drives one :class:`ColumnarReplayer` per run, but all runs of one engine
-share a :class:`ColumnarShare`: memory plans and the scoreboard memo are
+pass-level fixed point cannot skip).
+:class:`~repro.machine.timing.TimingEngine` drives one
+:class:`ColumnarReplayer` per run, but all runs of one engine share a
+:class:`ColumnarShare`: memory plans and the scoreboard memo are
 keyed on (pooled) program identity and relative context only, so a
 multicore sweep evaluates each distinct slice height against the same
 warmed state instead of rebuilding it per height.
@@ -72,7 +72,6 @@ from repro.machine.compiled import (
     TimingProgram,
 )
 from repro.machine.config import MachineConfig
-from repro.machine.memo import _pipes_key
 from repro.machine.pipeline import PipelineModel
 from repro.machine.prefetcher import LINES_PER_PAGE, _Stream
 
@@ -104,6 +103,23 @@ def _lru_victim(ways: Dict[int, int]) -> int:
             vk = k
             vt = t
     return vk
+
+
+def _pipes_key(vals: List[int], f0: int) -> Tuple[int, ...]:
+    """Port-pipe context: exact offsets past the frontier, rank order below.
+
+    Pipes still busy past the entry frontier matter exactly (they can stall
+    issue), so they key by offset.  Pipes at or before the frontier can
+    never stall, but their *relative order* (including ties) still decides
+    which pipe the least-loaded choice picks, so they key by dense rank,
+    encoded negatively to stay disjoint from the offsets.
+    """
+    n = len(vals)
+    if n == 1:
+        p = vals[0]
+        return ((p - f0) if p > f0 else -1,)
+    stale = sorted({p for p in vals if p <= f0})
+    return tuple((p - f0) if p > f0 else stale.index(p) - n for p in vals)
 
 
 class _MemPlan:
@@ -1075,7 +1091,7 @@ class ColumnarReplayer:
             steps, live_in, write_out, port_ids, lev_lo, lev_hi = chunk
             f0 = frontier
             sb = tuple([(v - f0) if (v := slots[s]) > f0 else 0 for s in live_in])
-            # Inline the 1- and 2-pipe encodings of memo._pipes_key (fresh
+            # Inline the 1- and 2-pipe encodings of _pipes_key (fresh
             # pipes by offset, stale pipes by rank); the generic helper only
             # runs for wider port classes.
             sig = []

@@ -160,7 +160,7 @@ def build_certificate(
         if entry is None:
             return None, "untemplated-block"
         template, addrs = entry
-        if template.nonuniform_dims:
+        if not template.two_frame_clean:
             return None, "nonuniform-template"
         delta0 = None
         for d, delta in template.deltas:

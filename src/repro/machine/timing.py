@@ -76,6 +76,22 @@ def default_steady() -> str:
     return os.environ.get("REPRO_STEADY", "on")
 
 
+#: Pass-level fixed-point memoization on iterated full runs: ``pass`` (the
+#: default) applies the remaining passes arithmetically once the machine
+#: state at a pass boundary recurs; ``off`` simulates every pass.
+MEMO_MODES = ("pass", "off")
+
+
+def memo_mode() -> str:
+    """Resolved ``REPRO_MEMO`` mode (see :data:`MEMO_MODES`)."""
+    mode = os.environ.get("REPRO_MEMO", "pass")
+    if mode not in MEMO_MODES:
+        raise ValueError(
+            f"unknown REPRO_MEMO mode {mode!r}; expected one of {MEMO_MODES}"
+        )
+    return mode
+
+
 def _add_scaled(base: PerfCounters, delta: PerfCounters, n: int) -> PerfCounters:
     """``base + n * delta``, exact on every counter field.
 
@@ -190,12 +206,10 @@ class TimingEngine:
             return lambda block: pipe.process_trace(kernel.emit(block))
 
         from repro.kernels.template import TraceCompiler
-        from repro.machine.memo import TimingMemo, memo_enabled
 
         config = self.config
         if compiler is None:
             compiler = TraceCompiler(kernel, nest=nest, config=config)
-        memo = TimingMemo(config) if memo_enabled() else None
 
         def run_block(block: KernelBlock) -> None:
             entry = compiler.lookup(block)
@@ -203,10 +217,7 @@ class TimingEngine:
                 template, addrs = entry
                 program = template.timing_program(config)
                 if program is not None:
-                    if memo is not None:
-                        memo.replay(pipe, program, template, addrs)
-                    else:
-                        pipe.process_template(program, addrs)
+                    pipe.process_template(program, addrs)
                     return
             pipe.process_trace(kernel.emit(block))
 
@@ -273,15 +284,11 @@ class TimingEngine:
         use_columnar = False
         if self.engine == "compiled":
             from repro.kernels.template import TraceCompiler
-            from repro.machine.memo import memo_enabled
 
             compiler = TraceCompiler(kernel, nest=nest, config=self.config)
             # Columnar replay vectorizes the first pass the same way it
-            # vectorizes sampled bands; the block-level REPRO_MEMO modes
-            # keep the scalar memoized walk (their exact-key replay already
-            # collapses warm passes, and the diagnostic value of running
-            # them lies in exercising that layer).
-            use_columnar = self.timing == "columnar" and not memo_enabled()
+            # vectorizes sampled bands.
+            use_columnar = self.timing == "columnar"
 
         if use_columnar:
             from repro.machine.columnar import ColumnarReplayer
@@ -380,11 +387,7 @@ class TimingEngine:
         # remaining passes are provably identical — their counter deltas
         # are applied arithmetically instead of being re-simulated.  The
         # reference engine always walks every pass.
-        use_skip = False
-        if iters > 1 and self.engine == "compiled":
-            from repro.machine.memo import pass_memo_enabled
-
-            use_skip = pass_memo_enabled()
+        use_skip = memo_mode() == "pass" and iters > 1 and self.engine == "compiled"
 
         prev_sig = pipe.state_digest() if use_skip else None
         prev_snap = before if before is not None else pipe.snapshot()

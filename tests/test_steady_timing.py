@@ -14,10 +14,12 @@ through the compiled-artifact store (warm runs skip detection entirely).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import METHODS, make_kernel
+from repro.kernels.template import RowTemplate
 from repro.machine.artifacts import install_artifact_store
 from repro.machine.config import LX2, M4
 from repro.machine.memory import MemorySpace
@@ -216,6 +218,41 @@ def test_steady_record_round_trip(tmp_path):
         assert second.to_dict() == first.to_dict()
     finally:
         install_artifact_store(None)
+
+
+# ---------------------------------------------------------------------------
+# Two-frame check: no registry template is unclean, so the certificate's
+# "nonuniform-template" rejection is pinned on hand-built address models.
+# ---------------------------------------------------------------------------
+
+
+def _words(*vals):
+    return np.array(vals, dtype=np.int64)
+
+
+FRAME_CASES = {
+    # Three grid addresses move together; a coefficient table stays put.
+    "clean-with-static": (
+        _words(0, 8, 16, 4096),
+        ((0, _words(64, 64, 64, 0)), (1, _words(8, 8, 8, 0))),
+        True,
+    ),
+    # Each dimension has one stride, but they move different address sets.
+    "dims-move-different-sets": (
+        _words(0, 8, 16),
+        ((0, _words(64, 64, 0)), (1, _words(0, 8, 8))),
+        False,
+    ),
+    "nonconstant-stride": (_words(0, 8, 16), ((0, _words(64, 128, 64)),), False),
+    "no-moving-address": (_words(0, 8, 4096), ((0, _words(0, 0, 0)),), True),
+    "single-address": (_words(0), ((0, _words(64)), (1, _words(8))), True),
+}
+
+
+@pytest.mark.parametrize("addr0,deltas,clean", FRAME_CASES.values(), ids=list(FRAME_CASES))
+def test_two_frame_check(addr0, deltas, clean):
+    template = RowTemplate((), (0, 0), addr0, deltas, signature=())
+    assert template.two_frame_clean is clean
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,25 @@
-"""Engine selection, REPRO_MEMO modes, iterated runs and memo demotion."""
+"""Engine selection, REPRO_MEMO modes and iterated runs."""
 
 import pytest
 
 from repro.bench.runner import ExperimentRunner
 from repro.kernels.base import KernelOptions
-from repro.kernels.registry import make_kernel
-from repro.machine import memo as memo_mod
-from repro.machine.config import LX2
+from repro.kernels.registry import METHODS, make_kernel
+from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
 from repro.machine.pipeline import PipelineModel
-from repro.machine.timing import TimingEngine, default_engine
+from repro.machine.timing import TimingEngine, default_engine, memo_mode
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
 
-def _kernel(n=64, stencil="star2d5p", method="hstencil", seed=0):
+def _kernel(n=64, stencil="star2d5p", method="hstencil", seed=0, config=None):
     mem = MemorySpace()
     spec = benchmark(stencil)
     src = Grid2D(mem, n, n, spec.radius, "A", fill="random", seed=seed)
     dst = Grid2D(mem, n, n, spec.radius, "B")
-    kernel = make_kernel(method, spec, src, dst, LX2(), KernelOptions())
+    kernel = make_kernel(method, spec, src, dst, config or LX2(), KernelOptions())
     return mem, kernel
 
 
@@ -91,36 +90,19 @@ def test_run_kernel_precedence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# REPRO_MEMO mode parsing and gates.
+# REPRO_MEMO mode parsing.
 # ---------------------------------------------------------------------------
 
 
 def test_memo_mode_default_and_aliases(monkeypatch):
     monkeypatch.delenv("REPRO_MEMO", raising=False)
-    assert memo_mod.memo_mode() == "pass"
-    for raw, mode in [
-        ("off", "off"), ("0", "off"), ("false", "off"),
-        ("block", "block"), ("pass", "pass"), ("PASS", "pass"),
-        ("full", "full"), ("1", "full"), ("on", "full"), ("true", "full"),
-    ]:
+    assert memo_mode() == "pass"
+    monkeypatch.setenv("REPRO_MEMO", "off")
+    assert memo_mode() == "off"
+    for raw in ("block", "full", "1", "on"):
         monkeypatch.setenv("REPRO_MEMO", raw)
-        assert memo_mod.memo_mode() == mode, raw
-    monkeypatch.setenv("REPRO_MEMO", "sometimes")
-    with pytest.raises(ValueError):
-        memo_mod.memo_mode()
-
-
-def test_memo_gates(monkeypatch):
-    expectations = {
-        "off": (False, False),
-        "block": (True, False),
-        "pass": (False, True),
-        "full": (True, True),
-    }
-    for mode, (block_gate, pass_gate) in expectations.items():
-        monkeypatch.setenv("REPRO_MEMO", mode)
-        assert memo_mod.memo_enabled() is block_gate
-        assert memo_mod.pass_memo_enabled() is pass_gate
+        with pytest.raises(ValueError, match=r"\('pass', 'off'\)"):
+            memo_mode()
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +119,27 @@ def test_iters_validation():
         engine.run(kernel, sample=True, iters=2)
 
 
-def test_iters_bit_identical_across_engines_and_memo_modes(monkeypatch):
-    """Reference and compiled (all memo modes) agree on iterated counters."""
-    iters = 5
+@pytest.mark.parametrize("stencil", ["star2d5p", "box2d9p"])
+@pytest.mark.parametrize("config", [LX2, M4], ids=["LX2", "M4"])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_iters_bit_identical_across_engines_and_memo_modes(
+    monkeypatch, method, config, stencil
+):
+    """Reference and compiled (both memo modes) agree on iterated counters."""
+    iters = 4
+    machine = config()
     results = {}
     for engine_name, memo in [
         ("reference", "off"),
         ("compiled", "off"),
-        ("compiled", "block"),
         ("compiled", "pass"),
-        ("compiled", "full"),
     ]:
         monkeypatch.setenv("REPRO_MEMO", memo)
-        _, kernel = _kernel()
-        pc = TimingEngine(LX2(), engine=engine_name).run(kernel, iters=iters)
+        try:
+            _, kernel = _kernel(n=32, stencil=stencil, method=method, config=machine)
+        except ValueError as exc:
+            pytest.skip(f"{method} on {stencil}: {exc}")
+        pc = TimingEngine(machine, engine=engine_name).run(kernel, iters=iters)
         results[(engine_name, memo)] = pc.to_dict()
     baseline = results[("reference", "off")]
     for key, counters in results.items():
@@ -189,48 +178,3 @@ def test_state_signature_recurs_at_pass_boundaries():
     sig = pipe.state_signature()
     one_pass()
     assert pipe.state_signature() == sig
-
-
-# ---------------------------------------------------------------------------
-# Block-level memo: probe verification demotes corrupted entries, and the
-# counters stay bit-identical to the plain replay throughout.
-# ---------------------------------------------------------------------------
-
-
-def test_memo_probe_mismatch_demotes_and_stays_bit_identical():
-    from repro.kernels.template import TraceCompiler
-    from repro.machine.memo import TimingMemo
-
-    config = LX2()
-    passes = 5
-
-    def run(memo=None, corrupt_after=None):
-        _, kernel = _kernel()
-        pipe = PipelineModel(config)
-        compiler = TraceCompiler(kernel)
-        for p in range(passes):
-            pipe.process_trace(kernel.preamble())
-            for block in kernel.loop_nest():
-                entry = compiler.lookup(block)
-                program = entry[0].timing_program(config) if entry else None
-                if program is None:
-                    pipe.process_trace(kernel.emit(block))
-                elif memo is None:
-                    pipe.process_template(program, entry[1])
-                else:
-                    memo.replay(pipe, program, entry[0], entry[1])
-            if memo is not None and corrupt_after == p:
-                for buckets in memo._tables.values():
-                    for cands in buckets.values():
-                        for stored in cands:
-                            stored.frontier_rel += 1  # falsify the recording
-        return pipe.snapshot()
-
-    plain = run()
-    memo = TimingMemo(config)
-    memo.probe_interval = 1  # verify-or-demote on every hit
-    memoed = run(memo=memo, corrupt_after=1)
-    assert memoed.to_dict() == plain.to_dict()
-    assert memo.demotions >= 1
-    # Demoted programs are dropped from the tables for good.
-    assert all(p not in memo._tables for p in memo._demoted)
