@@ -42,10 +42,6 @@ class _Stream:
     tail_line: int
     advances: int = 0
 
-    @property
-    def confirmed(self) -> bool:
-        return self.advances >= 2
-
 
 class StreamPrefetcher:
     """LRU stream table issuing next-line prefetches into L1."""
@@ -150,11 +146,18 @@ class StreamPrefetcher:
         """Canonical stream-table state: (tail line, advances) in LRU order.
 
         Table order is part of the signature because eviction pops the
-        least-recently-used entry.  Advance counts saturate behaviourally at
-        ``confirm_advances`` (everything past confirmation acts the same),
-        but the exact count is kept so equality stays trivially sound.
+        least-recently-used entry.  Advance counts are recorded saturated at
+        ``confirm_advances``, which is exact: the model only ever increments
+        ``advances`` and then tests it with ``== confirm_advances`` (count a
+        confirmation) and ``>= confirm_advances`` (issue prefetches).  A count
+        already at or past ``confirm_advances`` fails the first test and
+        passes the second after every increment, so any two such counts
+        drive identical prefetches, fills and counters forever after.  Counts
+        below ``confirm_advances`` stay distinct.  The live table keeps the
+        exact count; only the signature saturates.
         """
-        return tuple((line, s.advances) for line, s in self._streams.items())
+        c = self.confirm_advances
+        return tuple((line, min(s.advances, c)) for line, s in self._streams.items())
 
     def signature_digest(self) -> str:
         """Digest of :meth:`state_signature`, memoized on the signature.

@@ -11,7 +11,8 @@ fixed-point trick the pass-level memoization plays across measured passes
 
 Soundness rests on three pillars:
 
-* **A band certificate** (:func:`build_certificate`), built once from a
+* **A band certificate** (:func:`build_certificate`), built once per run
+  (later passes reuse it while the compiler's edge width stands) from a
   representative interior band whose shape classes are already compiled:
   every block templated, every template two-frame clean, all band-moving
   operands advancing by one common per-band stride ``d_lines`` (whole cache
@@ -25,12 +26,17 @@ Soundness rests on three pillars:
   signature is compared under a set *rotation* instead, which is a true
   automorphism of LRU behaviour as long as no static line lives in L2.
 
-* **Rebased signatures** (:func:`rebased_signature`): the exact
+* **Rebased signatures** (:func:`rebased_signature`): the
   ``state_signature()`` structure with every moving cache tag, dirty bit
   and stream-table entry translated back by ``k * d_lines`` at boundary
   ``k``, L2 sets read off in rotated order, and static lines kept fixed
   (tagged so a static tag can never collide with a translated moving one).
-  The signature is ``None`` — boundary ineligible — while any static line
+  Stream advance counts saturate at ``confirm_advances`` exactly as in
+  ``StreamPrefetcher.state_signature``: past confirmation every count
+  behaves the same, so two boundaries that differ only in how long their
+  confirmed streams have run are the same state.  Without that, a stream
+  that stays resident across bands never lets the state recur.  The
+  signature is ``None`` — boundary ineligible — while any static line
   sits in L2, because the rotation argument needs an all-moving L2.
 
 * **Probe-verify-or-demote**: a recurring digest with an aligned period is
@@ -266,9 +272,13 @@ def rebased_signature(
             tags.append(t - off)
         l2_sig.append(tuple(tags))
     l2_dirty = tuple(sorted(t - off for t in l2._dirty))
+    # Advance counts saturate at confirmation, as in
+    # ``StreamPrefetcher.state_signature`` (see its docstring for why).
+    pf = pipe.prefetcher
+    c = pf.confirm_advances
     pf_sig = tuple(
-        ((("s", line) if line in static_lines else line - off), s.advances)
-        for line, s in pipe.prefetcher._streams.items()
+        ((("s", line) if line in static_lines else line - off), min(s.advances, c))
+        for line, s in pf._streams.items()
     )
     return (
         pipe._core_signature(),
@@ -343,7 +353,9 @@ def apply_jump(
     ``shift`` is the total line translation (``m * period * d_lines``; the
     caller guarantees it is a multiple of the L1 set count and the page
     size).  Counters gain ``m * delta`` exactly; every moving cache tag,
-    dirty bit and stream-table entry translates by ``shift``; the scoreboard,
+    dirty bit and stream-table entry translates by ``shift`` (advance counts
+    are kept: the signatures pinned them only up to confirmation, past
+    which every count behaves the same); the scoreboard,
     port frontiers, cycle bookkeeping and makespan translate by the period's
     cycle delta.  Scoreboard entries already at or below the frontier are
     dead (they can never raise a future issue cycle), so translating them
@@ -444,6 +456,11 @@ class SteadyController:
     requires all cores to be ready simultaneously.  ``k`` is always the
     number of completed bands.  Any mismatch disables the controller for
     the rest of the run — the pass then finishes as a plain exact walk.
+
+    ``verdicts`` memoizes :func:`build_certificate` across the passes of one
+    run, keyed by ``compiler.edge``: a resolved shape class never changes
+    while the edge width stands, so the certificate (or the refusal reason)
+    of the first pass holds for every later one.
     """
 
     def __init__(
@@ -456,6 +473,7 @@ class SteadyController:
         record: Optional[Dict] = None,
         on_record: Optional[Callable[[Dict], None]] = None,
         stats: Optional[SteadyStats] = None,
+        verdicts: Optional[Dict[int, tuple]] = None,
     ) -> None:
         self.pipe = pipe
         self.compiler = compiler
@@ -465,6 +483,7 @@ class SteadyController:
         self.record = record
         self.on_record = on_record
         self.stats = stats if stats is not None else SteadyStats()
+        self.verdicts = verdicts if verdicts is not None else {}
         self.cert: Optional[BandCertificate] = None
         self.state = "detect"
         self._seen: Dict[str, Tuple[int, tuple]] = {}
@@ -504,7 +523,13 @@ class SteadyController:
             return True
         if self.state == "disabled":
             return False
-        cert, reason = build_certificate(self.compiler, self.bands, self.config)
+        edge = self.compiler.edge
+        verdict = self.verdicts.get(edge)
+        if verdict is None:
+            verdict = build_certificate(self.compiler, self.bands, self.config)
+            if self.compiler.edge == edge:
+                self.verdicts[edge] = verdict
+        cert, reason = verdict
         if cert is None:
             self._disable(reason)
             return False

@@ -310,8 +310,12 @@ class TimingEngine:
 
         return run_band, compiler
 
-    def _steady_controller(self, pipe: PipelineModel, compiler, bands, stats):
-        """Build one pass's steady controller, wired to the record caches."""
+    def _steady_controller(self, pipe: PipelineModel, compiler, bands, stats, verdicts):
+        """Build one pass's steady controller, wired to the record caches.
+
+        ``verdicts`` is the run's certificate memo, shared by every pass of
+        one kernel (see ``SteadyController``).
+        """
         from repro.machine import steady as steady_mod
         from repro.machine.artifacts import active_store
 
@@ -342,6 +346,7 @@ class TimingEngine:
             record=record,
             on_record=on_record,
             stats=stats,
+            verdicts=verdicts,
         )
 
     def _run_full(self, kernel: Kernel, nest, warm: bool, iters: int = 1) -> PerfCounters:
@@ -356,11 +361,12 @@ class TimingEngine:
         stats = SteadyStats()
         self.steady_stats = stats
         use_steady = self.steady == "on" and compiler is not None
+        verdicts: dict = {}
 
         def one_pass() -> None:
             pipe.process_trace(kernel.preamble())
             controller = (
-                self._steady_controller(pipe, compiler, bands, stats)
+                self._steady_controller(pipe, compiler, bands, stats, verdicts)
                 if use_steady
                 else None
             )
@@ -387,12 +393,22 @@ class TimingEngine:
         # remaining passes are provably identical — their counter deltas
         # are applied arithmetically instead of being re-simulated.  The
         # reference engine always walks every pass.
+        #
+        # The signature keeps exactly the state that can change future
+        # behaviour: cache tags, LRU order and dirty bits, the
+        # frontier-relative core, and the stream table with advance counts
+        # saturated at confirmation (every count past it behaves the same;
+        # without that, a stream that stays confirmed keeps counting up and
+        # no state ever recurs).  The fixed point can take many passes to
+        # appear while the stream table settles: 2 or 3 measured passes for
+        # the LX2 cells at 64², 3 to 22 for the M4 ones.  The digest is
+        # therefore compared after every pass; it costs milliseconds (each
+        # cache level memoizes its digest until it changes), a pass far more.
         use_skip = memo_mode() == "pass" and iters > 1 and self.engine == "compiled"
 
         prev_sig = pipe.state_digest() if use_skip else None
         prev_snap = before if before is not None else pipe.snapshot()
         counters: Optional[PerfCounters] = None
-        strikes = 0
         for done_passes in range(1, iters + 1):
             one_pass()
             if not use_skip:
@@ -405,15 +421,6 @@ class TimingEngine:
                 delta = PipelineModel.delta(snap, prev_snap)
                 counters = _add_scaled(snap, delta, iters - done_passes)
                 break
-            # A fixed point, if one exists, appears after the first measured
-            # pass (warm caches) or the second (cold entry).  Two consecutive
-            # distinct signatures therefore mean the state is genuinely
-            # drifting (e.g. capacity streaming) and the signature itself —
-            # which walks every cache set — is pure overhead from here on.
-            strikes += 1
-            if strikes >= 2:
-                use_skip = False
-                continue
             prev_sig = sig
             prev_snap = pipe.snapshot()
         if counters is None:
@@ -448,17 +455,20 @@ class TimingEngine:
 
         stats_list = [SteadyStats() for _ in kernels]
         self.lockstep_steady_stats = stats_list
+        verdicts_list = [{} for _ in kernels]
         use_steady = self.steady == "on" and self.engine == "compiled"
 
         def one_pass() -> None:
             controllers = []
-            for (kernel, pipe, _nest, bands, _rb, compiler), stats in zip(
-                cores, stats_list
+            for (kernel, pipe, _nest, bands, _rb, compiler), stats, verdicts in zip(
+                cores, stats_list, verdicts_list
             ):
                 pipe.process_trace(kernel.preamble())
                 ctrl = None
                 if use_steady and compiler is not None:
-                    ctrl = self._steady_controller(pipe, compiler, bands, stats)
+                    ctrl = self._steady_controller(
+                        pipe, compiler, bands, stats, verdicts
+                    )
                 controllers.append(ctrl)
             lock_dead = not use_steady or any(c is None for c in controllers)
             if lock_dead:

@@ -1,6 +1,8 @@
 """Hardware stream prefetcher: confirmation, table capacity, page stops."""
 
-from repro.machine.cache import CacheHierarchy
+from hypothesis import given, settings, strategies as st
+
+from repro.machine.cache import L1, CacheHierarchy
 from repro.machine.config import LX2
 from repro.machine.prefetcher import LINES_PER_PAGE, StreamPrefetcher
 
@@ -126,3 +128,79 @@ class TestDisabled:
         pf.reset_stats()
         assert pf.prefetches_issued == 0
         assert pf.streams_allocated == 0
+
+
+# ---------------------------------------------------------------------------
+# Signature saturation: advance counts past confirmation are one state.
+# ---------------------------------------------------------------------------
+
+#: Sequential runs ``(first line, length)``: runs train and advance streams,
+#: jumps between them allocate, evict and re-access tails.
+_runs = st.lists(
+    st.tuples(st.integers(0, 3 * LINES_PER_PAGE), st.integers(1, 12)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _drive(h, pf, runs):
+    """Demand-load every line of ``runs`` and train on it, as the core does."""
+    lw = h.line_words
+    for first, length in runs:
+        for line in range(first, first + length):
+            level = h.demand_access(line * lw, 1, write=False)
+            pf.observe(line * lw, 1, hit=level == L1)
+
+
+def _clone_pair(h, pf):
+    h2 = h.clone()
+    return h2, pf.clone(h2)
+
+
+def _observable(h, pf):
+    return (
+        pf.prefetches_issued,
+        pf.streams_confirmed,
+        pf.streams_allocated,
+        pf.state_signature(),
+        h.l1.state_signature(),
+        h.l2.state_signature(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    confirm=st.integers(1, 4),
+    depth=st.integers(1, 4),
+    num_streams=st.integers(1, 8),
+    train=_runs,
+    pick=st.integers(0, 63),
+    extra=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    follow=st.integers(0, 8),
+    then=_runs,
+)
+def test_counts_past_confirmation_are_one_state(
+    confirm, depth, num_streams, train, pick, extra, follow, then
+):
+    h, pf = make(num_streams=num_streams, depth=depth, confirm=confirm)
+    _drive(h, pf, train)
+    lines = list(pf._streams)
+    line = lines[pick % len(lines)]
+
+    ha, pa = _clone_pair(h, pf)
+    hb, pb = _clone_pair(h, pf)
+    pa._streams[line].advances = confirm + extra[0]
+    pb._streams[line].advances = confirm + extra[1]
+    assert pa.state_signature() == pb.state_signature()
+    assert pa.signature_digest() == pb.signature_digest()
+    # Continue the edited stream first, then wander.
+    then = [(line + 1, follow)] + then
+    _drive(ha, pa, then)
+    _drive(hb, pb, then)
+    assert _observable(ha, pa) == _observable(hb, pb)
+
+    # One short of confirmation is a different state: the next advance
+    # confirms (and prefetches) only there.
+    hc, pc = _clone_pair(h, pf)
+    pc._streams[line].advances = confirm - 1
+    assert pc.state_signature() != pa.state_signature()

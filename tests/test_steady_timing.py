@@ -93,6 +93,17 @@ def test_steady_engages_and_elides_bands(machine_name):
     assert stats.disabled == ""
 
 
+def test_steady_engages_on_lx2_auto_box2d25p():
+    """auto keeps its row streams confirmed across bands, so their advance
+    counts grow at every boundary; compared saturated at confirmation, the
+    band state recurs and elision engages, still bit-identical."""
+    exact, _ = _full("auto", "LX2", "off", "box2d25p", 384, 384)
+    elided, stats = _full("auto", "LX2", "on", "box2d25p", 384, 384)
+    assert elided.to_dict() == exact.to_dict()
+    assert stats.elided_bands > 0
+    assert stats.demoted == 0
+
+
 def test_forced_demotion_stays_exact(monkeypatch):
     """A mid-window static event must demote (permanently) and keep the
     counters identical to the all-band walk."""
