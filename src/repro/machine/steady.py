@@ -39,6 +39,36 @@ Soundness rests on three pillars:
   signature is ``None`` — boundary ineligible — while any static line
   sits in L2, because the rotation argument needs an all-moving L2.
 
+  A signature is only taken where a recurrence could still engage.  Two
+  exact facts bound detection (``last = B - edge``):
+
+  - **Room.**  Every eligible period ``p`` is a positive multiple of
+    ``align``, and engaging needs the verify window plus one more period
+    inside the interior, ``k + 2p <= last``.  So a match needs
+    ``k <= last - 2*align`` and its origin ``k0 <= last - 3*align``.
+    Origins past that bound are never stored, and detection stops with
+    ``no-room``, signature-free, once ``k`` passes the match bound, or the
+    origin bound with no live origin.  A record scan with recorded period
+    ``P`` stops past ``k = last - 2P``.  This is lossless: detection walks
+    ``k`` upward, so a match past these bounds comes after every match
+    that has room and was already a ``no-room``.
+  - **L2 occupancy.**  The rebased L2 signature lists every resident tag,
+    so equal signatures hold equal L2 line counts, and within a pass the
+    count never falls: fills evict one-for-one, nothing flushes or
+    invalidates mid-pass, and :func:`apply_jump` relocates one-for-one and
+    ends detection.  Once the count grows, every stored origin is dead and
+    is dropped; a boundary that cannot be an origin skips its signature
+    unless a live origin could match it.
+
+  No origin is taken while L2 is still *filling* (count below capacity
+  and above the previous boundary's).  If the state recurs from such a
+  boundary ``k0``, the count is flat from there on, so ``k0 + 1`` is an
+  origin of the same recurrence and detection is one band late.  That
+  delay can cost a period of elision (or the engagement, if ``k0 + 1`` has
+  no room) only when a recurrence starts exactly at the band where L2
+  stops growing below capacity; no registry cell on either machine preset
+  does (``tests/test_steady_timing.py`` pins their elided bands).
+
 * **Probe-verify-or-demote**: a recurring digest with an aligned period is
   only a *candidate*.  One additional full period is simulated live with a
   **static watch** armed on the hierarchy (counting demand misses,
@@ -244,6 +274,14 @@ def rebased_signature(
     hash-table insertion history.
     """
     h = pipe.hierarchy
+    l2 = h.l2
+    n2 = l2.num_sets
+    l2_sets = l2._sets
+    # Probe the (few) static lines first: serializing the sets below is the
+    # bulk of the cost, and prologue boundaries still hold one in L2.
+    for t in static_lines:
+        if t in l2_sets[t % n2]:
+            return None
     l1 = h.l1
     l1_sig = tuple(
         tuple(
@@ -258,19 +296,11 @@ def rebased_signature(
             key=lambda t: (1, t[1]) if type(t) is tuple else (0, t),
         )
     )
-    l2 = h.l2
-    n2 = l2.num_sets
     rot = off % n2
-    l2_sets = l2._sets
-    l2_sig: List[tuple] = []
-    for sigma in range(n2):
-        ways = l2_sets[(sigma + rot) % n2]
-        tags = []
-        for t in sorted(ways, key=ways.__getitem__):
-            if t in static_lines:
-                return None
-            tags.append(t - off)
-        l2_sig.append(tuple(tags))
+    l2_sig = tuple(
+        tuple(t - off for t in sorted(ways, key=ways.__getitem__))
+        for ways in l2_sets[rot:] + l2_sets[:rot]
+    )
     l2_dirty = tuple(sorted(t - off for t in l2._dirty))
     # Advance counts saturate at confirmation, as in
     # ``StreamPrefetcher.state_signature`` (see its docstring for why).
@@ -283,7 +313,7 @@ def rebased_signature(
     return (
         pipe._core_signature(),
         (l1_sig, l1_dirty),
-        (tuple(l2_sig), l2_dirty),
+        (l2_sig, l2_dirty),
         pf_sig,
     )
 
@@ -457,6 +487,16 @@ class SteadyController:
     number of completed bands.  Any mismatch disables the controller for
     the rest of the run — the pass then finishes as a plain exact walk.
 
+    Detection pays for a signature only where a recurrence could still
+    engage (module doc): it stops ``no-room`` past ``k = last - 2*align``,
+    or past ``last - 3*align`` with no live origin, and stores origins only
+    up to that origin bound.  All live origins share the L2 line count they
+    were taken at; the count never falls within a pass, so when it grows
+    they are dropped.  While L2 is filling (count below capacity and above
+    the previous boundary's) a boundary is not an origin: a recurrence
+    from it is caught one band later, which can cost a period only when it
+    starts exactly where L2 stops growing below capacity.
+
     ``verdicts`` memoizes :func:`build_certificate` across the passes of one
     run, keyed by ``compiler.edge``: a resolved shape class never changes
     while the edge width stands, so the certificate (or the refusal reason)
@@ -486,7 +526,11 @@ class SteadyController:
         self.verdicts = verdicts if verdicts is not None else {}
         self.cert: Optional[BandCertificate] = None
         self.state = "detect"
+        #: Live detection origins, ``digest -> (k, raw)``, all taken at
+        #: the L2 line count ``_lines`` of the previous detect boundary
+        #: (-1 before the first one).
         self._seen: Dict[str, Tuple[int, tuple]] = {}
+        self._lines = -1
         self.period = 0
         self.target = -1
         self.expected_digest: Optional[str] = None
@@ -590,31 +634,61 @@ class SteadyController:
                 self._finish_verify(k)
             return self.state
 
-        # detect (or record scan)
-        if self.record is None and k > e + DETECT_ALIGN_WINDOW * cert.align + DETECT_SLACK:
+        last = self.B - e
+        if self.record is not None:
+            # Record scan: the recorded period needs the verify window plus
+            # one more period inside the interior (``_has_room``).
+            if k > last - 2 * self._rec_period:
+                self._disable("no-room")
+                return self.state
+            sig = rebased_signature(self.pipe, cert.static_lines, k * cert.d_lines)
+            if sig is None:
+                return self.state
+            self.stats.record_probes += 1
+            digest = artifacts.signature_digest(sig)
+            if digest == self._rec_digest:
+                raw = raw_counters(self.pipe)
+                self._start_verify(k, self._rec_period, digest, self._rec_delta, raw)
+            return self.state
+
+        # detect
+        align = cert.align
+        if k > e + DETECT_ALIGN_WINDOW * align + DETECT_SLACK:
             self._disable("no-recurrence")
             return self.state
+        if k > last - 2 * align:
+            self._disable("no-room")  # no match from here on has room
+            return self.state
+        l2 = self.pipe.hierarchy.l2
+        prev_lines = self._lines
+        lines = self._lines = sum(map(len, l2._sets))
+        if lines != prev_lines:
+            # Equal signatures hold equal L2 line counts, and the count
+            # never falls within a pass: an origin taken at another count
+            # can never match again.
+            self._seen.clear()
+        filling = 0 <= prev_lines < lines < l2.num_sets * l2.assoc
+        can_origin = k <= last - 3 * align and not filling
+        if not self._seen:
+            if k > last - 3 * align:
+                self._disable("no-room")  # no origin left that could match
+                return self.state
+            if not can_origin:
+                return self.state
         sig = rebased_signature(self.pipe, cert.static_lines, k * cert.d_lines)
         if sig is None:
             return self.state  # a static line is still washing out of L2
         digest = artifacts.signature_digest(sig)
         raw = raw_counters(self.pipe)
-        if self.record is not None:
-            self.stats.record_probes += 1
-            if digest == self._rec_digest:
-                if self._has_room(k, self._rec_period):
-                    self._start_verify(k, self._rec_period, digest, self._rec_delta, raw)
-                else:
-                    self._disable("no-room")
-            return self.state
         self.stats.detect_sigs += 1
         prev = self._seen.get(digest)
         if prev is None:
-            self._seen[digest] = (k, raw)
+            if can_origin:
+                self._seen[digest] = (k, raw)
             return self.state
         k0, raw0 = prev
         p = k - k0
-        if p % cert.align:
+        if p % align:
             # Unaligned recurrences can be coincidental (uniform streaming
             # makes L1 sets look alike); only set/page-preserving periods
             # carry the shift-automorphism proof.  Keep the earlier entry.
@@ -624,7 +698,10 @@ class SteadyController:
             return self.state
         delta = raw_delta(raw, raw0)
         if not (delta[0][0] == delta[0][1] == delta[0][2]):
-            self._seen[digest] = (k, raw)
+            if can_origin:
+                self._seen[digest] = (k, raw)
+            else:
+                del self._seen[digest]
             return self.state
         self._start_verify(k, p, digest, delta, raw)
         return self.state
