@@ -170,11 +170,10 @@ SERVICE_WORKERS = 2
 SERVICE_THROUGHPUT_TARGET = 3.0
 
 #: Whole-phase wall-clock floor for the same guard: warm must beat cold by
-#: this much end-to-end, verification included.  The probe-on-load memo
-#: (identical class entries verified once per process, not once per
-#: bundle) holds warm verification cost down; measured wall ratio on the
-#: guard subset is ~3.8-4.5x, so 3.0x leaves noise headroom while still
-#: failing if per-load verification cost creeps back up.
+#: this much end-to-end, verification included.  Recorded at ~3.8-4.5x
+#: when cold sweeps wrote trace-laden template bundles; with trace-free
+#: bundles the cold sweep is far cheaper and the ratio reads ~1.5-1.8x,
+#: below this floor, which awaits re-basing (see ROADMAP).
 AOT_WALL_RATIO_TARGET = 3.0
 
 _RESULTS_JSON = os.path.join(
@@ -347,7 +346,6 @@ def _aot_phase(machines, stencils, store_dir):
         "lower_seconds": pool["build_seconds"],
         "verify_seconds": stats["verify_seconds"],
         "verify_emits": stats["verify_emits"],
-        "verify_memo_hits": stats["verify_memo_hits"],
         "compiled_classes": stats["compiled_classes"],
         "loaded_classes": stats["loaded_classes"],
         "cells": built,
@@ -874,13 +872,10 @@ def test_smoke_simspeed_aot_coldstart_guard(tmp_path):
         f"(cold {cold['fit_seconds'] + cold['lower_seconds']:.3f}s, "
         f"warm {warm['fit_seconds'] + warm['lower_seconds']:.3f}s)"
     )
-    # The probe-on-load memo must absorb the repeats: identical class
-    # entries (cross-method shared emissions) verify once per process, so
-    # warm live probe emits stay strictly below one per loaded class.
-    assert warm["verify_memo_hits"] >= 1, "probe-verify memo never hit"
-    assert warm["verify_emits"] < warm["loaded_classes"], (
-        f"probe-verify memo ineffective: {warm['verify_emits']} live emits "
-        f"for {warm['loaded_classes']} loaded classes"
+    # Every stored class is trusted by exactly one live emit of its own.
+    assert warm["verify_emits"] == warm["loaded_classes"], (
+        f"{warm['verify_emits']} live verify emits for "
+        f"{warm['loaded_classes']} loaded classes"
     )
     wall_ratio = cold["wall_seconds"] / warm["wall_seconds"]
     assert wall_ratio >= AOT_WALL_RATIO_TARGET, (

@@ -36,6 +36,7 @@ def test_smoke_fig12_cell_cold_then_warm(cache_dir):
         "hits": 1,
         "misses": 0,
         "stores": 0,
+        "invalid": 0,
     }
     assert second.counters.to_dict() == first.counters.to_dict()
 

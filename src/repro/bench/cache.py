@@ -21,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -39,7 +37,9 @@ from repro.machine.artifacts import (  # noqa: F401  (re-exports)
     machine_digest,
     machine_fingerprint,
     prune_tree,
+    read_entry,
     scan_tree,
+    write_entry,
 )
 from repro.machine.config import MachineConfig
 from repro.machine.perf import PerfCounters
@@ -114,7 +114,9 @@ class MeasurementCache:
     """Disk-backed store of :class:`PerfCounters` keyed by :func:`cache_key`.
 
     Tracks ``hits`` / ``misses`` / ``stores`` so callers can prove cache
-    effectiveness (the JSON benchmark artifacts embed these).
+    effectiveness (the JSON benchmark artifacts embed these).  Entries are
+    sealed by :func:`~repro.machine.artifacts.write_entry`; one that fails
+    its checksum counts as ``invalid`` and is a miss.
     """
 
     def __init__(self, root) -> None:
@@ -122,23 +124,23 @@ class MeasurementCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.invalid = 0
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
     def load(self, key: str) -> Optional[PerfCounters]:
         """Return the cached counters for ``key``, or None on miss."""
-        path = self.path_for(key)
         try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
+            _header, data = read_entry(self.path_for(key), "counters")
+            counters = PerfCounters.from_dict(data)
+        except OSError:
             self.misses += 1
             return None
-        try:
-            counters = PerfCounters.from_dict(data["counters"])
         except (KeyError, ValueError):
-            # Corrupt or incompatible entry: treat as a miss; it will be
+            # Corrupt, edited or incompatible entry: a miss; it will be
             # overwritten by the fresh measurement.
+            self.invalid += 1
             self.misses += 1
             return None
         self.hits += 1
@@ -146,20 +148,8 @@ class MeasurementCache:
 
     def store(self, key: str, counters: PerfCounters, inputs: Optional[Dict] = None) -> None:
         """Persist counters atomically (safe under concurrent writers)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"key": key, "inputs": inputs, "counters": counters.to_dict()}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_entry(self.path_for(key), {"key": key, "inputs": inputs}, "counters",
+                    counters.to_dict())
         self.stores += 1
 
     def stats(self) -> Dict:
@@ -168,6 +158,7 @@ class MeasurementCache:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
+            "invalid": self.invalid,
         }
 
     def disk_stats(self) -> Dict:

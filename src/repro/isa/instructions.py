@@ -618,3 +618,28 @@ class SCALAR_OP(Instruction):
 
     mnemonic = "scalar"
     port = PortClass.SCALAR
+
+
+#: Every concrete instruction type, in definition order.  Tests that sweep
+#: per-type behaviour iterate this tuple; it must list every
+#: :class:`Instruction` subclass.
+INSTRUCTION_TYPES: Tuple[type, ...] = (
+    LD1D,
+    LD1D_STRIDED,
+    ST1D,
+    ST1D_SLICE,
+    PRFM,
+    FMLA,
+    FMLA_IDX,
+    FMUL_IDX,
+    FADD_V,
+    EXT,
+    DUP,
+    SET_LANES,
+    FMOPA,
+    ZERO_TILE,
+    MOVA_TILE_TO_VEC,
+    MOVA_VEC_TO_TILE,
+    FMLA_M,
+    SCALAR_OP,
+)

@@ -30,6 +30,12 @@ Probing relies on the :class:`~repro.isa.program.Kernel` contract that
 ``emit`` is pure.  Kernels whose emission is *not* affine in the block key
 (or that emit unknown instruction types) are automatically and safely
 demoted to the reference walk — correctness never depends on the fit.
+
+With an artifact store active, each resolved class is persisted as its
+affine model and signature digest only, never its trace.  A later process
+trusts a stored entry after one live emit of the block being replayed
+reproduces both, and adopts that emitted trace as the template
+(:meth:`TraceCompiler._load_class`).
 """
 
 from __future__ import annotations
@@ -68,38 +74,17 @@ _MISS = object()
 
 #: Process-wide template-compilation accounting, split into the buckets the
 #: cold-start guard measures: ``fit_seconds`` is live compile work (probe
-#: emits + affine fits), ``verify_seconds`` is the probe-on-load check a
-#: store-loaded template must pass before being trusted.
+#: emits + affine fits), ``verify_seconds`` is the one live emit and check
+#: a stored class entry must pass before it is trusted.
 COMPILE_STATS: Dict[str, float] = {}
 
-#: Process-wide probe-on-load verification memo: ``(machine digest,
-#: signature digest, affine-model digest)`` triples whose stored templates
-#: already passed the live-emit probe in this process.  Identical class
-#: entries recur across the bundles of a warm registry sweep (methods with
-#: identical emission for a class, machines sharing a layout — measured:
-#: 225 warm loads collapse onto 132 distinct triples), and re-emitting a
-#: live probe for each recurrence dominates warm wall time, so later loads
-#: of an already-verified entry skip the live emit.  The key pins the
-#: affine address model (``key0``/``addr0``/``deltas``), not just the
-#: structural signature: a tampered entry therefore always misses the memo
-#: and meets the full probe, preserving the demote-on-tamper contract.
-#: Entries are added only on a *successful probe verification* — never on
-#: a live compile — so a process that has merely written a bundle still
-#: probe-checks what it later reads back; decode-time internal-consistency
-#: checks (signature digest, trace/addr0 agreement, delta shapes) still
-#: run on every load.
-_VERIFIED_ON_LOAD: set = set()
-
-
 def reset_compile_stats() -> None:
-    _VERIFIED_ON_LOAD.clear()
     COMPILE_STATS.update(
         compiled_classes=0,
         loaded_classes=0,
         load_demotions=0,
         probe_emits=0,
         verify_emits=0,
-        verify_memo_hits=0,
         fit_seconds=0.0,
         verify_seconds=0.0,
     )
@@ -442,12 +427,15 @@ class TraceCompiler:
     def _load_class(self, cls: Tuple, block: KernelBlock):
         """Adopt a stored class entry, or :data:`_MISS` to compile live.
 
-        Safety contract: a deserialized template is probe-checked with one
-        live emit of the block actually being replayed (signature + exact
-        addresses through the template's affine model) before it is
-        trusted.  A failed check demotes the class permanently — exactly
-        what the live path does on a failed probe — and persists the
-        verdict.  Corrupt/undecodable entries fall back to a live compile.
+        A stored entry holds no trace, only the class's affine address model
+        (``key0``/``addr0``/``deltas``) and signature digest.  It is trusted
+        after one live emit of the block actually being replayed: the
+        emitted trace must match the signature digest, and its addresses
+        must equal the model's prediction for the block's key.  That trace
+        then becomes the template — exactly what a live compile starting at
+        this block builds.  A failed check demotes the class permanently,
+        as the live path does on a failed probe, and persists the verdict.
+        A malformed entry falls back to a live compile.
         """
         stored = self._stored_classes.get(repr(cls)) if self._stored_classes else None
         if stored is None:
@@ -456,40 +444,26 @@ class TraceCompiler:
             self.loaded_classes += 1
             COMPILE_STATS["loaded_classes"] += 1
             return None
-        start = perf_counter()
-        template = self._decode_class(stored)
-        if template is None:
-            self.verify_seconds += perf_counter() - start
-            return _MISS
-        memo_key = None
-        if self._bundle_inputs is not None:
-            memo_key = (
-                self._bundle_inputs["machine"],
-                template._sig_digest,
-                artifacts.artifact_digest(
-                    {
-                        "key0": stored["key0"],
-                        "addr0": stored["addr0"],
-                        "deltas": stored["deltas"],
-                    }
-                ),
+        try:
+            key0 = tuple(stored["key0"])
+            expected = np.asarray(stored["addr0"], dtype=np.int64)
+            deltas = tuple(
+                (int(d), np.asarray(vals, dtype=np.int64)) for d, vals in stored["deltas"]
             )
-        if memo_key is not None and memo_key in _VERIFIED_ON_LOAD:
-            # This (machine, signature) already survived a live-emit probe
-            # in this process; the decode above re-checked the entry's own
-            # internal consistency, so skip the expensive re-probe.
-            elapsed = perf_counter() - start
-            self.verify_seconds += elapsed
-            COMPILE_STATS["verify_seconds"] += elapsed
-            COMPILE_STATS["verify_memo_hits"] += 1
-            self.loaded_classes += 1
-            COMPILE_STATS["loaded_classes"] += 1
-            return template
+            sig_digest = stored["sig"]
+        except (KeyError, TypeError, ValueError):
+            return _MISS
+        if len(key0) != len(self.shape) or any(
+            delta.shape != expected.shape or not 0 <= d < len(key0) for d, delta in deltas
+        ):
+            return _MISS
+        start = perf_counter()
+        for d, delta in deltas:
+            expected = expected + delta * (block.key[d] - key0[d])
         live = self.kernel.emit(block)
-        ok = (
-            trace_signature(live) == template.signature
-            and trace_addresses(live) == template.addrs_for(block.key)
-        )
+        signature = trace_signature(live)
+        addrs = trace_addresses(live)
+        ok = artifacts.signature_digest(signature) == sig_digest and addrs == expected.tolist()
         elapsed = perf_counter() - start
         self.verify_seconds += elapsed
         COMPILE_STATS["verify_seconds"] += elapsed
@@ -499,38 +473,11 @@ class TraceCompiler:
             COMPILE_STATS["load_demotions"] += 1
             self._record_class(cls, None)
             return None
-        if memo_key is not None:
-            _VERIFIED_ON_LOAD.add(memo_key)
         self.loaded_classes += 1
         COMPILE_STATS["loaded_classes"] += 1
-        return template
-
-    def _decode_class(self, stored) -> Optional[RowTemplate]:
-        try:
-            trace = artifacts.decode_trace(stored["trace"])
-            if trace is None:
-                return None
-            key0 = tuple(stored["key0"])
-            addr0 = np.asarray(stored["addr0"], dtype=np.int64)
-            deltas = tuple(
-                (int(d), np.asarray(vals, dtype=np.int64)) for d, vals in stored["deltas"]
-            )
-            sig_digest = stored["sig"]
-        except (KeyError, TypeError, ValueError):
-            return None
-        if len(key0) != len(self.shape):
-            return None
-        sig0 = trace_signature(trace)
-        # Internal-consistency checks: the digest pins the structural
-        # signature, and the rebuilt trace must embed exactly the stored
-        # address vector (same fit inputs as the original compile).
-        if artifacts.signature_digest(sig0) != sig_digest:
-            return None
-        if trace_addresses(trace) != addr0.tolist():
-            return None
-        if any(delta.shape != addr0.shape for _d, delta in deltas):
-            return None
-        template = RowTemplate(trace, key0, addr0, deltas, signature=sig0)
+        template = RowTemplate(
+            live, block.key, np.asarray(addrs, dtype=np.int64), deltas, signature=signature
+        )
         template._sig_digest = sig_digest
         return template
 
@@ -541,11 +488,7 @@ class TraceCompiler:
         if template is None:
             entry: object = "demoted"
         else:
-            trace_payload = artifacts.encode_trace(template.trace)
-            if trace_payload is None:
-                return  # instruction type outside the codec; keep it live-only
             entry = {
-                "trace": trace_payload,
                 "key0": list(template.key0),
                 "addr0": template.addr0.tolist(),
                 "deltas": [[d, delta.tolist()] for d, delta in template.deltas],

@@ -15,13 +15,18 @@ the trace signature.  Invalidation is therefore automatic: any source or
 config change produces a different digest and the stale entry is simply
 never looked up again.
 
-Safety contract: a deserialized template is *never* trusted blindly.  The
-template compiler re-runs the cheap probe check (one live emit, signature +
-exact address comparison) once per shape class before adopting a stored
-template, and demotes the class permanently on mismatch — exactly as the
-live compile path does.  Deserialized programs need no probe: their stored
-form is bit-exact (JSON round-trips Python ints and float ``repr`` exactly)
-and their digest pins the trace signature they were lowered from.
+Safety contract: every entry file seals its payload with a sha256 of the
+payload's exact bytes (:func:`write_entry`), checked on every read
+(:func:`read_entry`); a truncated, bit-flipped or hand-edited entry counts
+as ``invalid`` and is a miss, so the artifact is rebuilt live.
+Deserialized programs therefore need no probe: their stored form is
+bit-exact (JSON round-trips Python ints and float ``repr`` exactly), the
+checksum pins those bytes, and their digest pins the trace signature they
+were lowered from.  A stored template holds no trace, only its affine
+address model and signature digest; the template compiler trusts it only
+after one live emit of the block being replayed reproduces both, and
+demotes the class permanently on mismatch — exactly as the live compile
+path does.
 
 The store is optional and off by default.  It activates when a path is
 installed explicitly (:func:`install_artifact_store`, reached through the
@@ -41,32 +46,10 @@ import tempfile
 import time
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.isa.instructions import (
-    DUP,
-    EXT,
-    FADD_V,
-    FMLA,
-    FMLA_IDX,
-    FMLA_M,
-    FMOPA,
-    FMUL_IDX,
-    Instruction,
-    LD1D,
-    LD1D_STRIDED,
-    MOVA_TILE_TO_VEC,
-    MOVA_VEC_TO_TILE,
-    PRFM,
-    SCALAR_OP,
-    SET_LANES,
-    ST1D,
-    ST1D_SLICE,
-    ZERO_TILE,
-)
-from repro.isa.registers import TileReg, VReg
 from repro.machine.config import MachineConfig
 
 #: Bump to invalidate every stored artifact regardless of source hashing.
@@ -154,93 +137,54 @@ def signature_digest(signature: Tuple) -> str:
     return hashlib.sha256(repr(signature).encode()).hexdigest()[:32]
 
 
-# -- instruction trace codec --------------------------------------------------
-
-#: Every instruction type the codec can round-trip.  A trace containing any
-#: other type is simply not persisted (``encode_trace`` returns ``None``).
-_TRACE_TYPES: Tuple[type, ...] = (
-    LD1D,
-    LD1D_STRIDED,
-    ST1D,
-    ST1D_SLICE,
-    PRFM,
-    FMLA,
-    FMLA_IDX,
-    FMUL_IDX,
-    FADD_V,
-    EXT,
-    DUP,
-    SET_LANES,
-    FMOPA,
-    ZERO_TILE,
-    MOVA_TILE_TO_VEC,
-    MOVA_VEC_TO_TILE,
-    FMLA_M,
-    SCALAR_OP,
-)
-_TYPE_BY_NAME: Dict[str, type] = {cls.__name__: cls for cls in _TRACE_TYPES}
-_FIELDS_OF: Dict[type, Tuple[str, ...]] = {
-    cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in _TRACE_TYPES
-}
+# -- checksummed entry files (shared with the measurement cache) -------------
 
 
-def _encode_value(value):
-    # Tagged lists for the structured field values; scalars pass through.
-    # JSON float repr round-trips doubles exactly, so floats stay bit-exact.
-    if isinstance(value, VReg):
-        return ["z", value.index]
-    if isinstance(value, TileReg):
-        return ["za", value.index]
-    if isinstance(value, tuple):
-        return ["t", list(value)]
-    return value
+def _separator(field: str) -> bytes:
+    return b',\n"' + field.encode() + b'": '
 
 
-def _decode_value(value):
-    if isinstance(value, list):
-        tag, payload = value
-        if tag == "z":
-            return VReg(payload)
-        if tag == "za":
-            return TileReg(payload)
-        if tag == "t":
-            return tuple(payload)
-        raise ValueError(f"unknown value tag {tag!r}")
-    return value
+def write_entry(path: Path, header: Dict, field: str, data) -> None:
+    """Atomically write ``header`` plus ``data`` sealed by its sha256.
 
-
-def encode_trace(trace: Sequence[Instruction]) -> Optional[List]:
-    """JSON-safe rendering of an instruction trace, or ``None``.
-
-    ``None`` means some instruction type is outside the codec's registry;
-    the caller then skips persistence (the live path is unaffected).
+    The file stays one JSON object, with the payload last on its own line:
+    ``{<header keys>, "sha256": <hex>,\n"<field>": <data>}``.  ``json.dumps``
+    never emits a raw newline, so the first newline marks where the payload
+    bytes start and :func:`read_entry` hashes them without re-serializing.
+    Raises ``OSError`` (with the temp file removed) when the write fails.
     """
-    out: List[List] = []
-    for ins in trace:
-        cls = type(ins)
-        names = _FIELDS_OF.get(cls)
-        if names is None:
-            return None
-        out.append([cls.__name__] + [_encode_value(getattr(ins, n)) for n in names])
-    return out
-
-
-def decode_trace(payload: Sequence) -> Optional[List[Instruction]]:
-    """Rebuild a trace from :func:`encode_trace` output, or ``None``.
-
-    Reconstruction goes through the dataclass constructors, so the usual
-    ``__post_init__`` validation/normalization runs; any malformed record
-    yields ``None`` rather than an exception (corrupt store entries must
-    fall back to a live build).
-    """
-    trace: List[Instruction] = []
+    body = json.dumps(data, sort_keys=True).encode()
+    head = json.dumps(dict(header, sha256=hashlib.sha256(body).hexdigest()), sort_keys=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        for record in payload:
-            cls = _TYPE_BY_NAME[record[0]]
-            trace.append(cls(*(_decode_value(v) for v in record[1:])))
-    except (KeyError, IndexError, TypeError, ValueError):
-        return None
-    return trace
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(head[:-1].encode() + _separator(field) + body + b"}")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def read_entry(path: Path, field: str) -> Tuple[Dict, object]:
+    """``(header, data)`` of a :func:`write_entry` file.
+
+    Raises ``OSError`` when the file cannot be read, and ``ValueError`` when
+    it is truncated or malformed or its payload bytes do not hash to the
+    stored sha256.
+    """
+    raw = path.read_bytes()
+    head, sep, body = raw.partition(_separator(field))
+    if not sep or not body.endswith(b"}"):
+        raise ValueError(f"{path}: not a sealed entry")
+    body = body[:-1]
+    header = json.loads(head + b"}")
+    if header.get("sha256") != hashlib.sha256(body).hexdigest():
+        raise ValueError(f"{path}: payload checksum mismatch")
+    return header, json.loads(body)
 
 
 # -- directory scan / prune helpers (shared with the measurement cache) ------
@@ -369,9 +313,9 @@ class ArtifactStore:
     ``kind`` partitions the namespace (``timing`` / ``functional`` /
     ``templates``); the digest already encodes every input, so ``load`` only
     cross-checks the stored meta block as a belt-and-braces guard against a
-    digest collision across schema versions.  All read/parse failures count
-    as misses — a corrupt or truncated entry must never surface as an error,
-    only as a live rebuild.
+    digest collision across schema versions.  All read/parse/checksum
+    failures count as misses — a corrupt, truncated or edited entry must
+    never surface as an error or a wrong answer, only as a live rebuild.
     """
 
     def __init__(self, root) -> None:
@@ -387,25 +331,14 @@ class ArtifactStore:
 
     def load(self, kind: str, digest: str) -> Optional[Dict]:
         """Return the stored data payload, or ``None`` on miss/corruption."""
-        path = self.path_for(kind, digest)
         try:
-            text = path.read_text()
+            header, data = read_entry(self.path_for(kind, digest), "data")
+            if header.get("meta") != artifact_meta():
+                raise ValueError("artifact meta skew")
         except OSError:
             self.misses += 1
             return None
-        try:
-            payload = json.loads(text)
-        except ValueError:  # present but truncated/corrupt
-            self.invalid += 1
-            self.misses += 1
-            return None
-        try:
-            if payload["meta"] != artifact_meta():
-                self.invalid += 1
-                self.misses += 1
-                return None
-            data = payload["data"]
-        except (KeyError, TypeError):
+        except ValueError:  # truncated, corrupt, edited or skewed
             self.invalid += 1
             self.misses += 1
             return None
@@ -419,24 +352,11 @@ class ArtifactStore:
         not break the simulation that produced the artifact, so failures are
         swallowed and surfaced only through ``store_errors``.
         """
-        path = self.path_for(kind, digest)
-        payload = {"kind": kind, "meta": artifact_meta(), "inputs": inputs, "data": data}
+        header = {"kind": kind, "meta": artifact_meta(), "inputs": inputs}
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            write_entry(self.path_for(kind, digest), header, "data", data)
         except OSError:
             self.store_errors += 1
-            return False
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except OSError:
-            self.store_errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         self.stores += 1
         return True

@@ -30,8 +30,6 @@ from repro.machine import compiled as compiled_mod
 from repro.machine.artifacts import (
     ArtifactStore,
     active_store,
-    decode_trace,
-    encode_trace,
     install_artifact_store,
 )
 from repro.machine.compiled import (
@@ -139,20 +137,6 @@ def test_functional_round_trip_bit_identical(method, machine_name, tmp_path):
     assert warm_pool["functional_store_hits"] >= 1
 
 
-def test_trace_codec_round_trip():
-    """encode/decode reproduces the exact instruction objects."""
-    built = _build("hstencil", "LX2")
-    kernel, config, _, _ = built
-    nest = kernel.loop_nest()
-    block = next(iter(nest.blocks))
-    trace = kernel.emit(block)
-    payload = encode_trace(trace)
-    assert payload is not None
-    json.dumps(payload)  # must be JSON-serializable as-is
-    back = decode_trace(payload)
-    assert back == trace
-
-
 def test_signature_digest_pinned():
     """Every stored artifact is keyed by signature digests like this one.
 
@@ -221,6 +205,7 @@ def test_tampered_template_demoted_on_load(tmp_path):
         p for p in _artifact_files(tmp_path) if f"{os.sep}templates{os.sep}" in p
     ]
     assert bundles
+    store = ArtifactStore(tmp_path)
     tampered = 0
     for path in bundles:
         with open(path) as fh:
@@ -229,13 +214,17 @@ def test_tampered_template_demoted_on_load(tmp_path):
             if not isinstance(entry, dict) or not entry["deltas"]:
                 continue
             # Shift the representative key along a varying dimension: the
-            # affine model now rebases every block's addresses wrongly,
-            # while the stored trace itself still decodes consistently.
+            # affine model now predicts every block's addresses wrongly,
+            # while the signature digest still matches the live emit.
             dim = entry["deltas"][0][0]
             entry["key0"][dim] -= 1
             tampered += 1
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        # Re-seal through the store's own writer, as a writer with a wrong
+        # model would: the checksum passes, so only the live-emit check can
+        # catch the lie (an edit behind the store's back is a checksum miss,
+        # see test_edited_artifact_is_invalid_and_rebuilt_live).
+        digest = os.path.splitext(os.path.basename(path))[0]
+        assert store.store("templates", digest, data["data"], inputs=data["inputs"])
     assert tampered >= 1
     rebuilt = _timing_run("hstencil", "LX2", tmp_path)
     stats = compile_stats()
@@ -243,18 +232,138 @@ def test_tampered_template_demoted_on_load(tmp_path):
     assert stats["load_demotions"] >= 1
 
 
+def _swap_first(path, old, new):
+    """Replace the first serialized ``old`` value in ``path`` by ``new``.
+
+    Every other byte of the file stays as written, so only the payload
+    checksum can tell the entry was edited.  A one-key dict stands for the
+    ``"key": value`` member text inside an object.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if isinstance(old, dict):
+        before, after = json.dumps(old)[1:-1].encode(), json.dumps(new)[1:-1].encode()
+    else:
+        before, after = json.dumps(old).encode(), json.dumps(new).encode()
+    assert before in raw
+    with open(path, "wb") as fh:
+        fh.write(raw.replace(before, after, 1))
+
+
+def _edit_template_delta(path, data):
+    for entry in data["classes"].values():
+        if isinstance(entry, dict) and entry["deltas"]:
+            d, vals = entry["deltas"][0]
+            _swap_first(path, [d, vals], [d, vals[:-1] + [vals[-1] + 8]])
+            return
+
+
+def _edit_timing_latency(path, data):
+    step = data["steps"][0]
+    _swap_first(path, step, step[:3] + [step[3] + 1] + step[4:])
+
+
+def _edit_functional_load(path, data):
+    from repro.machine.compiled import F_LD
+
+    op = next(op for op in data["ops"] if op[0] == F_LD)
+    _swap_first(path, op, [F_LD, op[1], (op[2] + 1) % data["n_addrs"]])
+
+
+def _functional_run(store_dir):
+    install_artifact_store(str(store_dir) if store_dir is not None else None)
+    clear_program_pool(reset_stats=True)
+    reset_compile_stats()
+    kernel, _, mem, dst = _build("hstencil", "LX2", stencil="box2d9p", rows=64, cols=64)
+    fe = FunctionalEngine(mem)
+    fe.run_kernel(kernel, engine="compiled")
+    return dst.get_full().tolist(), fe.instructions_executed
+
+
+@pytest.mark.parametrize(
+    "kind, method, edit",
+    [
+        ("templates", "matrix-only", _edit_template_delta),
+        ("timing", "hstencil", _edit_timing_latency),
+        ("functional", "hstencil", _edit_functional_load),
+    ],
+    ids=["templates", "timing", "functional"],
+)
+def test_edited_artifact_is_invalid_and_rebuilt_live(kind, method, edit, tmp_path):
+    """One edited number in a stored artifact is a checksum miss, never a
+    silently wrong counter: the warm run equals the live build."""
+    if kind == "functional":
+        run = _functional_run
+    else:
+
+        def run(store_dir):
+            return _timing_run(method, "LX2", store_dir, stencil="box2d9p", rows=64, cols=64)
+
+    live = run(None)
+    assert run(tmp_path) == live
+    path = next(p for p in _artifact_files(tmp_path) if f"{os.sep}{kind}{os.sep}" in p)
+    with open(path) as fh:
+        edit(path, json.load(fh)["data"])
+    assert run(tmp_path) == live
+    assert active_store().stats()["invalid"] >= 1
+
+
+def test_edited_measurement_is_invalid_and_resimulated(tmp_path):
+    from repro.bench.runner import ExperimentRunner
+
+    cell = ("hstencil", "box2d9p", (64, 64))
+    live = ExperimentRunner(LX2(), cache_dir=tmp_path).measure(*cell).counters.to_dict()
+    (path,) = _artifact_files(tmp_path)
+    _swap_first(path, {"cycles": live["cycles"]}, {"cycles": live["cycles"] + 1})
+    runner = ExperimentRunner(LX2(), cache_dir=tmp_path)
+    assert runner.measure(*cell).counters.to_dict() == live
+    assert runner.provenance(*cell) == "simulated"
+    assert runner.disk_cache.stats()["invalid"] >= 1
+
+
+def test_stored_template_adopts_live_trace_off_key0(tmp_path):
+    """A class first replayed at a block other than its stored ``key0``
+    loads (no live fit), and its model rebases every block exactly."""
+    from repro.machine.compiled import trace_addresses
+
+    _timing_run("hstencil", "LX2", tmp_path, stencil="box2d9p", rows=64, cols=64)
+    for path in _artifact_files(tmp_path):
+        if f"{os.sep}templates{os.sep}" in path:
+            with open(path) as fh:
+                entries = json.load(fh)["data"]["classes"].values()
+            assert all("trace" not in e for e in entries if isinstance(e, dict))
+    reset_compile_stats()
+    kernel, config, _, _ = _build("hstencil", "LX2", stencil="box2d9p", rows=64, cols=64)
+    nest = kernel.loop_nest()
+    compiler = TraceCompiler(kernel, nest=nest, config=config)
+    cls = ("M", ("L", 0))
+    assert compiler._class_of((4, 0)) == cls
+    assert compiler._stored_classes[repr(cls)]["key0"] == [1, 0]
+    blocks = {b.key: b for b in nest.blocks}
+    template, addrs = compiler.lookup(blocks[(4, 0)])
+    stats = compile_stats()
+    assert stats["loaded_classes"] == 1 and stats["compiled_classes"] == 0
+    assert stats["load_demotions"] == 0
+    assert addrs == trace_addresses(kernel.emit(blocks[(4, 0)]))
+    members = [b for key, b in blocks.items() if compiler._class_of(key) == cls]
+    assert len(members) >= 3
+    for block in members:
+        expected = trace_addresses(kernel.emit(block))
+        assert template.addrs_for(block.key) == expected
+        assert compiler.lookup(block) == (template, expected)
+
+
 def test_template_identity_pins_coefficient_table_bases(tmp_path):
     """A kernel whose coefficient tables moved never adopts a stored template.
 
     The tables' addresses are embedded in the emitted loads, so a bundle
     stored for one placement replays the wrong coefficients at another.
-    The identity must pin them even when the grids have not moved and the
-    verify memo already holds the stored entry.
+    The identity must pin them even when the grids have not moved.
     """
     install_artifact_store(str(tmp_path))
     spec = benchmark("box2d9p")
     config = LX2()
-    counted = ("compiled_classes", "loaded_classes", "verify_memo_hits", "load_demotions")
+    counted = ("compiled_classes", "loaded_classes", "load_demotions")
 
     def run(pad_words):
         mem = MemorySpace()
@@ -276,7 +385,7 @@ def test_template_identity_pins_coefficient_table_bases(tmp_path):
     assert warm["compiled_classes"] == 0 and warm["loaded_classes"] >= 1
     err, moved = run(4096)
     assert err < 1e-9
-    assert moved["verify_memo_hits"] == 0 and moved["loaded_classes"] == 0
+    assert moved["loaded_classes"] == 0
     assert moved["compiled_classes"] == cold["compiled_classes"]
 
 

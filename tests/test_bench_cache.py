@@ -143,7 +143,13 @@ class TestRunnerDiskCache:
             "cells": 1,
             "simulated": 0,
             "disk_hits": 1,
-            "disk": {"root": str(tmp_path), "hits": 1, "misses": 0, "stores": 0},
+            "disk": {
+                "root": str(tmp_path),
+                "hits": 1,
+                "misses": 0,
+                "stores": 0,
+                "invalid": 0,
+            },
         }
 
     def test_different_options_do_not_collide(self, tmp_path):

@@ -15,6 +15,8 @@ from repro.isa.instructions import (
     FMLA_M,
     FMOPA,
     FMUL_IDX,
+    Instruction,
+    INSTRUCTION_TYPES,
     LD1D,
     LD1D_STRIDED,
     MOVA_TILE_TO_VEC,
@@ -28,7 +30,6 @@ from repro.isa.instructions import (
     ZERO_TILE,
 )
 from repro.isa.registers import NUM_TILES, NUM_VREGS, SVL_LANES, TileReg, VReg
-from repro.machine.artifacts import _TRACE_TYPES
 
 
 class TestMemoryInstructions:
@@ -240,12 +241,19 @@ def _random_instruction(cls, rng, as_list):
     return cls(**args)
 
 
-def test_plain_keys_cover_the_codec():
-    assert set(PLAIN_KEYS) == set(_TRACE_TYPES)
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_plain_keys_cover_every_instruction_type():
+    assert set(INSTRUCTION_TYPES) == set(_subclasses(Instruction))
+    assert set(PLAIN_KEYS) == set(INSTRUCTION_TYPES)
 
 
 @pytest.mark.parametrize("as_list", [False, True], ids=["tuple", "list"])
-@pytest.mark.parametrize("cls", _TRACE_TYPES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", INSTRUCTION_TYPES, ids=lambda c: c.__name__)
 def test_dependence_keys_match_plain_formula(cls, as_list):
     rng = random.Random(f"{cls.__name__}-{as_list}")
     for _ in range(40):
