@@ -30,8 +30,8 @@ def _collect(runner):
         jobs=BENCH_JOBS,
     )
     # Reuse the runner's engine: the contention model then follows the same
-    # --engine/--timing (REPRO_ENGINE/REPRO_TIMING) selection as the slice
-    # measurements, instead of silently reverting to the defaults.
+    # REPRO_ENGINE selection as the slice measurements, instead of silently
+    # reverting to the default.
     mc = MulticoreModel(runner.machine, timing_engine=runner.engine)
     series = {}
     points = {}

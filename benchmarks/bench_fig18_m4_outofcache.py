@@ -3,10 +3,10 @@
 Paper: without the optimizations HStencil averages 2.63x on the M4;
 instruction scheduling adds ~30% and spatial prefetch another ~20%.
 
-All cells run through the session ``m4_runner``, so ``REPRO_ENGINE`` /
-``REPRO_TIMING`` select the replay engine and sampled-timing mode here the
-same way they do for every other bench (see ``conftest.py``), and the disk
-cache keys on the non-default timing mode.
+All cells run through the session ``m4_runner``, so ``REPRO_ENGINE``
+selects the replay engine here the same way it does for every other bench
+(see ``conftest.py``); the disk cache serves either engine's cells, which
+are bit-identical.
 """
 
 from conftest import report, run_once

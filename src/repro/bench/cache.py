@@ -58,23 +58,22 @@ def cache_key(
     plan: Optional[SamplePlan],
     warm: bool,
     iters: int = 1,
-    timing: Optional[str] = None,
     engine: Optional[str] = None,
     sample: Optional[bool] = None,
     steady: Optional[str] = None,
 ) -> Tuple[str, Dict]:
     """Digest + canonical inputs for one ``(machine, cell)`` measurement.
 
-    ``timing`` participates in the digest when non-default; ``engine`` never
-    does (the compiled and reference engines are bit-identical, so either
-    may serve the other's cells — ``tests/test_smoke_simspeed.py`` pins
-    this) but it is recorded in the returned inputs so stored entries say
-    which engine produced them.  ``sample`` (an explicit sampling override;
+    ``engine`` never participates in the digest (the compiled and
+    reference engines are bit-identical, so either may serve the other's
+    cells — ``tests/test_smoke_simspeed.py`` pins this) but it is recorded
+    in the returned inputs so stored entries say which engine produced
+    them.  ``sample`` (an explicit sampling override;
     ``None`` is the automatic size-based choice) and ``steady`` (the
     band-periodic elision mode, default ``"on"``) are keyed only when
     non-default, so entries written before those knobs existed stay valid —
-    and, as with ``timing``, a steady-elision divergence could never be
-    masked by a cache hit from the other mode.
+    and a steady-elision divergence could never be masked by a cache hit
+    from the other mode.
     """
     inputs = {
         "schema": SCHEMA_VERSION,
@@ -94,10 +93,6 @@ def cache_key(
     if iters != 1:
         # Keyed only when non-default so existing cache entries stay valid.
         inputs["iters"] = iters
-    if timing is not None and timing != "columnar":
-        # Same pattern as ``iters``: only the non-default replay mode is
-        # keyed, so entries written before the mode existed stay valid.
-        inputs["timing"] = timing
     if sample is not None:
         inputs["sample"] = bool(sample)
     if steady is not None and steady != "on":

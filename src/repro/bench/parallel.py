@@ -71,7 +71,6 @@ def _init_worker(
     warm,
     plan,
     engine=None,
-    timing=None,
     artifact_dir=None,
     action="measure",
     steady=None,
@@ -85,7 +84,6 @@ def _init_worker(
         options,
         cache_dir=cache_dir,
         engine=engine,
-        timing=timing,
         steady=steady,
         sample=sample,
         artifact_dir=artifact_dir,
@@ -148,7 +146,6 @@ def _run_cells_pooled(
     workers: int,
     tick,
     engine,
-    timing,
     artifact_dir,
     action,
     steady,
@@ -170,7 +167,6 @@ def _run_cells_pooled(
         cache_dir=cache_dir,
         artifact_dir=artifact_dir,
         engine=engine,
-        timing=timing,
         steady=steady,
         sample=sample,
     )
@@ -210,7 +206,6 @@ def run_cells(
     progress: bool = False,
     runner=None,
     engine: Optional[str] = None,
-    timing: Optional[str] = None,
     steady: Optional[str] = None,
     sample: Optional[bool] = None,
     artifact_dir=None,
@@ -254,7 +249,7 @@ def run_cells(
             _WORKER_RUNNER, _WORKER_ARGS = runner, (warm, plan, action)
         else:
             _init_worker(
-                machine, options, cache_dir, warm, plan, engine, timing,
+                machine, options, cache_dir, warm, plan, engine,
                 artifact_dir, action, steady, sample,
             )
         try:
@@ -275,7 +270,6 @@ def run_cells(
             min(jobs, total),
             tick,
             engine,
-            timing,
             artifact_dir,
             action,
             steady,

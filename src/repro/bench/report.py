@@ -123,11 +123,8 @@ def bench_json_payload(
     if runner is not None:
         payload["machine"] = machine_fingerprint(runner.machine)
         payload["machine_digest"] = machine_digest(runner.machine)
-        # Which replay engine / sampled-timing mode produced the numbers.
-        payload["modes"] = {
-            "engine": runner.engine.engine,
-            "timing": runner.engine.timing,
-        }
+        # Which replay engine produced the numbers.
+        payload["modes"] = {"engine": runner.engine.engine}
         payload["cells"] = runner.records()
         payload["cache"] = runner.cache_stats()
     if extra:

@@ -60,7 +60,6 @@ class ExperimentRunner:
         options: Optional[KernelOptions] = None,
         cache_dir=None,
         engine: Optional[str] = None,
-        timing: Optional[str] = None,
         steady: Optional[str] = None,
         sample: Optional[bool] = None,
         artifact_dir=None,
@@ -70,14 +69,12 @@ class ExperimentRunner:
         # ``engine`` selects the simulation engine ("compiled"/"reference").
         # The disk-cache key deliberately does NOT include it: the engines
         # are bit-identical, so either may serve the other's cached cells.
-        # ``timing`` selects the sampled-replay strategy of the compiled
-        # engine ("columnar"/"scalar"); it IS part of the disk key (when
-        # non-default) so a demotion-related divergence could never be
-        # masked by a cache hit from the other mode.  ``steady`` selects
-        # band-periodic steady-state elision ("on"/"off", same keying
-        # rationale), and ``sample`` forces full (False) or band-sampled
-        # (True) timing for every cell instead of the automatic size-based
-        # choice (``None``); both are keyed only when non-default.
+        # ``steady`` selects band-periodic steady-state elision ("on"/"off")
+        # and ``sample`` forces full (False) or band-sampled (True) timing
+        # for every cell instead of the automatic size-based choice
+        # (``None``); both ARE part of the disk key when non-default, so an
+        # elision divergence could never be masked by a cache hit from the
+        # other mode.
         # ``artifact_dir`` additionally installs the compiled-artifact
         # store, so template fitting / program lowering load from disk
         # instead of rebuilding.
@@ -86,7 +83,6 @@ class ExperimentRunner:
         self.engine = TimingEngine(
             self.machine,
             engine=engine,
-            timing=timing,
             steady=steady,
             artifact_dir=artifact_dir,
         )
@@ -141,7 +137,7 @@ class ExperimentRunner:
         if self.disk_cache is not None:
             disk_key, inputs = cache_key(
                 self.machine, method, stencil, tuple(shape), self.options, plan, warm,
-                iters=iters, timing=self.engine.timing, engine=self.engine.engine,
+                iters=iters, engine=self.engine.engine,
                 sample=self.sample, steady=self.engine.steady,
             )
             counters = self.disk_cache.load(disk_key)
@@ -220,7 +216,6 @@ class ExperimentRunner:
             progress=progress,
             runner=self,
             engine=self.engine.engine,
-            timing=self.engine.timing,
             steady=self.engine.steady,
             sample=self.sample,
             artifact_dir=self.artifact_dir,
@@ -299,7 +294,6 @@ class ExperimentRunner:
             progress=progress,
             runner=self,
             engine=self.engine.engine,
-            timing=self.engine.timing,
             steady=self.engine.steady,
             sample=self.sample,
             artifact_dir=self.artifact_dir,

@@ -96,7 +96,6 @@ def _runner(args) -> ExperimentRunner:
         _options(args),
         cache_dir=_dir_arg(args, "cache_dir"),
         engine=getattr(args, "engine", None),
-        timing=getattr(args, "timing", None),
         steady=getattr(args, "steady", None),
         sample=getattr(args, "sample", None),
         artifact_dir=_dir_arg(args, "artifact_dir"),
@@ -263,13 +262,12 @@ def cmd_scaling(args) -> int:
         )
     slices = {r.shape[0]: r.counters for r in results}
 
-    # Same --engine/--timing (or REPRO_ENGINE/REPRO_TIMING) selection as the
-    # slice measurements above, so a scalar-vs-columnar A/B governs the
-    # whole sweep rather than silently reverting to the defaults here.
+    # Same --engine (or REPRO_ENGINE) selection as the slice measurements
+    # above, so a compiled-vs-reference A/B governs the whole sweep rather
+    # than silently reverting to the default here.
     mc = MulticoreModel(
         machine,
         engine=args.engine,
-        timing=args.timing,
         steady=getattr(args, "steady", None),
         artifact_dir=_dir_arg(args, "artifact_dir"),
     )
@@ -328,7 +326,6 @@ def cmd_precompile(args) -> int:
             _options(args),
             cache_dir=_dir_arg(args, "cache_dir"),
             engine=getattr(args, "engine", None),
-            timing=getattr(args, "timing", None),
             steady=getattr(args, "steady", None),
             sample=getattr(args, "sample", None),
             artifact_dir=artifact_dir,
@@ -370,7 +367,6 @@ def cmd_serve(args) -> int:
         cache_dir=_dir_arg(args, "cache_dir") or os.environ.get("REPRO_BENCH_CACHE"),
         artifact_dir=_dir_arg(args, "artifact_dir") or os.environ.get("REPRO_ARTIFACTS"),
         engine=getattr(args, "engine", None),
-        timing=getattr(args, "timing", None),
         steady=getattr(args, "steady", None),
         sample=getattr(args, "sample", None),
     )
@@ -542,12 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="write a BENCH_*.json artifact (file, or directory for the default name)",
         )
         p.add_argument(
-            "--timing",
-            choices=["columnar", "scalar"],
-            default=None,
-            help="band-sampled replay mode (default: REPRO_TIMING env var, then columnar)",
-        )
-        p.add_argument(
             "--steady",
             choices=["on", "off"],
             default=None,
@@ -630,10 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--artifact-dir", default=None,
         help="compiled-artifact store directory (default: REPRO_ARTIFACTS)",
-    )
-    p.add_argument(
-        "--timing", choices=["columnar", "scalar"], default=None,
-        help="band-sampled replay mode (default: REPRO_TIMING env var, then columnar)",
     )
     p.add_argument(
         "--steady", choices=["on", "off"], default=None,

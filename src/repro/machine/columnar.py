@@ -1,4 +1,4 @@
-"""Columnar timing replay for the band-sampled (out-of-cache) path.
+"""Columnar timing replay: the compiled engine's only band runner.
 
 Out-of-cache grids are where the simulator spends its time: cache state
 never recurs, so the pass-level memoization never fires and every
@@ -18,10 +18,10 @@ reorganizes stencil loops — hoist the regular part out and batch it:
   never reads scoreboard state, and the scoreboard reads memory behaviour
   only through one number per load step (the worst level reached).  Each
   block therefore splits exactly into a *memory phase* — a tight loop over
-  just the precomputed memory operations, mirroring
-  ``PipelineModel.process_template``'s cache/prefetcher handling
-  operation-for-operation and emitting the per-load level vector — and a
-  *scoreboard phase* consuming that vector.
+  just the precomputed memory operations, mirroring the scalar template
+  walk's cache/prefetcher handling operation-for-operation and emitting
+  the per-load level vector — and a *scoreboard phase* consuming that
+  vector.
 
 * **Scoreboard memoization.**  The scoreboard recurrence is a pure,
   translation-invariant function of its relative entry context (live-in
@@ -32,19 +32,26 @@ reorganizes stencil loops — hoist the regular part out and batch it:
   discipline as the pass-level fixed point, needing no verification.
 
 * **Probe-verify / demote.**  Although both phases are constructed to be
-  bit-identical to the scalar walk, the replay still follows the
+  bit-identical to the scalar template walk, the replay still follows the
   established safety pattern: per shape class it replays a representative
   block, a steady-state (mid-run) block and a band-boundary block — plus a
-  periodic re-probe — on a *cloned* pipeline, runs the scalar walk on the
-  real one, and compares counters, cache/prefetcher/scoreboard state
-  signatures and absolute issue state.  Any mismatch permanently demotes
-  the class to the scalar walk (whose result is already in place, so a
-  failed probe costs nothing but the clone).
+  periodic re-probe — on a *cloned* pipeline, runs the scalar template
+  walk on the real one, and compares counters, cache/prefetcher/scoreboard
+  state signatures and absolute issue state.  Any mismatch permanently
+  demotes the class to the scalar template walk (whose result is already
+  in place, so a failed probe costs nothing but the clone).
 
-``REPRO_TIMING=columnar|scalar`` (and ``--timing`` on the CLI) selects
-this engine.  It engages on the compiled engine's band-sampled path *and*
-on full simulations' measured passes (the in-cache first pass that the
-pass-level fixed point cannot skip).
+The scalar template walk is this module's private oracle and fallback,
+not a mode anyone selects: :meth:`ColumnarReplayer._probe` and
+:meth:`ColumnarReplayer._run_scalar_template` are its only callers.  It
+stays, rather than probing against ``process_trace(kernel.emit(block))``,
+because emit is the dearer oracle: probing that way cost about 3x the
+probe time per 128² cell (LX2 hstencil box2d25p 0.038 → 0.113 s of a
+0.18 s cell) and 21-57% on the perfbench end-to-end metrics.
+
+This replay serves every band the compiled engine walks: the
+band-sampled path *and* full simulations' passes (the in-cache first
+pass that the pass-level fixed point cannot skip).
 :class:`~repro.machine.timing.TimingEngine` drives one
 :class:`ColumnarReplayer` per run, but all runs of one engine share a
 :class:`ColumnarShare`: memory plans and the scoreboard memo are
@@ -639,7 +646,7 @@ class ColumnarReplayer:
         """Drive the block's memory operations; return per-load-step levels.
 
         Operation-for-operation identical to the memory handling inside
-        ``PipelineModel.process_template`` (same inlined L1 probe, same
+        the scalar template walk (same inlined L1 probe, same
         shared miss path, same inlined prefetcher training in the same
         order) — only the scoreboard arithmetic is absent, which is sound
         because nothing in the cache or prefetcher ever reads it.

@@ -26,7 +26,8 @@ and :func:`trace_addresses` extracts them in program order (the order the
 rebased address array uses).
 
 Bit-identity is the design contract: a compiled program replayed through
-``PipelineModel.process_template`` / ``FunctionalEngine.execute_template``
+the columnar timing replay (:mod:`repro.machine.columnar`, checked by its
+private scalar template walk) or ``FunctionalEngine.execute_template``
 performs the same cache, prefetcher and scoreboard operations in the same
 order as the reference walk over the original instruction objects.
 """

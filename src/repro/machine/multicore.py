@@ -71,22 +71,20 @@ class ScalingPoint:
 class MulticoreModel:
     """Strong-scaling evaluation for one machine configuration.
 
-    ``engine``/``timing`` select the replay engine and sampled-replay
-    strategy exactly as on :class:`~repro.machine.timing.TimingEngine`
-    (``None`` defers to ``REPRO_ENGINE``/``REPRO_TIMING``); alternatively a
-    fully constructed engine can be injected via ``timing_engine``.  One
-    engine serves the whole sweep on purpose: under columnar timing its
-    share holds the memory plans and scoreboard memo tables, so every
-    distinct slice height after the first replays against already-warmed
-    state (slice kernels differ only in row count, and their programs pool
-    by structural signature).
+    ``engine`` selects the replay engine exactly as on
+    :class:`~repro.machine.timing.TimingEngine` (``None`` defers to
+    ``REPRO_ENGINE``); alternatively a fully constructed engine can be
+    injected via ``timing_engine``.  One engine serves the whole sweep on
+    purpose: on the compiled engine its columnar share holds the memory
+    plans and scoreboard memo tables, so every distinct slice height after
+    the first replays against already-warmed state (slice kernels differ
+    only in row count, and their programs pool by structural signature).
     """
 
     def __init__(
         self,
         config: MachineConfig,
         engine: Optional[str] = None,
-        timing: Optional[str] = None,
         steady: Optional[str] = None,
         timing_engine: Optional[TimingEngine] = None,
         artifact_dir=None,
@@ -100,7 +98,6 @@ class MulticoreModel:
             self.engine = TimingEngine(
                 config,
                 engine=engine,
-                timing=timing,
                 steady=steady,
                 artifact_dir=artifact_dir,
             )

@@ -181,6 +181,12 @@ class PipelineModel:
         counter updates are applied in bulk from the program's aggregates.
         Miss and prefetch-fill paths go through the same
         hierarchy/prefetcher methods the reference walk uses.
+
+        This is the columnar replay's private oracle and fallback, not a
+        replay mode: its only callers are the columnar probe and the
+        demoted-class walk in :mod:`repro.machine.columnar`.  It survives
+        because checking columnar against a live emit instead tripled the
+        probe cost (see that module's docstring).
         """
         cfg = self.config
         ready = self._ready

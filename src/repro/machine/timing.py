@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.isa.instructions import Instruction
-from repro.isa.program import Kernel, KernelBlock
+from repro.isa.program import Kernel
 from repro.machine.config import MachineConfig
 from repro.machine.perf import PerfCounters
 from repro.machine.pipeline import PipelineModel
@@ -47,20 +47,10 @@ FULL_SIM_POINT_LIMIT = 300_000
 #: Engines selectable on :class:`TimingEngine` / ``FunctionalEngine.run_kernel``.
 ENGINES = ("compiled", "reference")
 
-#: Band-sampled replay strategies for the compiled engine: ``columnar``
-#: precomputes address streams and memoizes the scoreboard recurrence
-#: (:mod:`repro.machine.columnar`); ``scalar`` walks block by block.
-TIMING_MODES = ("columnar", "scalar")
-
 
 def default_engine() -> str:
     """Engine used when none is requested (``REPRO_ENGINE`` overrides)."""
     return os.environ.get("REPRO_ENGINE", "compiled")
-
-
-def default_timing() -> str:
-    """Sampled-replay mode when none is requested (``REPRO_TIMING`` overrides)."""
-    return os.environ.get("REPRO_TIMING", "columnar")
 
 
 #: Band-periodic steady-state elision on *full* (unsampled) runs: ``on``
@@ -129,17 +119,19 @@ class TimingEngine:
     ``engine="compiled"`` (the default) drives kernel blocks through the
     trace-compilation layer (:mod:`repro.kernels.template`): one emit +
     schedule per shape class, then scoreboard replay over precompiled step
-    arrays with rebased addresses.  ``engine="reference"`` re-emits and
-    walks instruction objects per block.  The two are bit-identical on
-    every counter; the compiled path silently falls back to the reference
-    walk for any block whose class fails probe verification.
+    arrays with rebased addresses, always band by band through the columnar
+    replayer (:mod:`repro.machine.columnar`).  ``engine="reference"``
+    re-emits and walks instruction objects per block.  The two are
+    bit-identical on every counter; the compiled path silently falls back
+    to the reference walk for any block whose class fails probe
+    verification.  The scalar template walk is not a mode of its own: it
+    is columnar's private probe oracle and demotion fallback.
     """
 
     def __init__(
         self,
         config: MachineConfig,
         engine: Optional[str] = None,
-        timing: Optional[str] = None,
         steady: Optional[str] = None,
         artifact_dir=None,
     ) -> None:
@@ -157,13 +149,6 @@ class TimingEngine:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.engine = engine
-        if timing is None:
-            timing = default_timing()
-        if timing not in TIMING_MODES:
-            raise ValueError(
-                f"unknown timing {timing!r}; expected one of {TIMING_MODES}"
-            )
-        self.timing = timing
         if steady is None:
             steady = default_steady()
         if steady not in STEADY_MODES:
@@ -195,33 +180,6 @@ class TimingEngine:
 
             self._share = ColumnarShare()
         return self._share
-
-    # ------------------------------------------------------------------
-
-    def _block_runner(
-        self, kernel: Kernel, pipe: PipelineModel, nest=None, compiler=None
-    ) -> Callable[[KernelBlock], None]:
-        """Per-block processing function for the selected engine."""
-        if self.engine != "compiled":
-            return lambda block: pipe.process_trace(kernel.emit(block))
-
-        from repro.kernels.template import TraceCompiler
-
-        config = self.config
-        if compiler is None:
-            compiler = TraceCompiler(kernel, nest=nest, config=config)
-
-        def run_block(block: KernelBlock) -> None:
-            entry = compiler.lookup(block)
-            if entry is not None:
-                template, addrs = entry
-                program = template.timing_program(config)
-                if program is not None:
-                    pipe.process_template(program, addrs)
-                    return
-            pipe.process_trace(kernel.emit(block))
-
-        return run_block
 
     # ------------------------------------------------------------------
 
@@ -274,41 +232,31 @@ class TimingEngine:
     # ------------------------------------------------------------------
 
     def _band_machinery(self, kernel: Kernel, pipe: PipelineModel, nest):
-        """``(run_band, compiler)`` for a banded full-grid replay.
+        """``(run_band, compiler)`` for one banded replay onto ``pipe``.
 
-        The compiler (compiled engine only) is built here and shared with
-        the replayer / block runner so the steady-state controller sees the
-        same template classes the replay resolves.
+        The one place the engine picks its band runner: the compiled engine
+        replays every band columnar
+        (:class:`~repro.machine.columnar.ColumnarReplayer`, which owns the
+        scalar template walk as its private probe oracle and demotion
+        fallback); the reference engine re-emits and walks each block.  The
+        compiler is returned so the steady-state controller sees the same
+        template classes the replay resolves (``None`` on the reference
+        engine).
         """
-        compiler = None
-        use_columnar = False
-        if self.engine == "compiled":
-            from repro.kernels.template import TraceCompiler
-
-            compiler = TraceCompiler(kernel, nest=nest, config=self.config)
-            # Columnar replay vectorizes the first pass the same way it
-            # vectorizes sampled bands.
-            use_columnar = self.timing == "columnar"
-
-        if use_columnar:
-            from repro.machine.columnar import ColumnarReplayer
-
-            run_band = ColumnarReplayer(
-                kernel,
-                self.config,
-                pipe,
-                nest=nest,
-                compiler=compiler,
-                share=self._columnar_share(),
-            ).process_band
-        else:
-            run_block = self._block_runner(kernel, pipe, nest=nest, compiler=compiler)
+        if self.engine != "compiled":
 
             def run_band(band) -> None:
                 for block in band:
-                    run_block(block)
+                    pipe.process_trace(kernel.emit(block))
 
-        return run_band, compiler
+            return run_band, None
+
+        from repro.machine.columnar import ColumnarReplayer
+
+        replayer = ColumnarReplayer(
+            kernel, self.config, pipe, nest=nest, share=self._columnar_share()
+        )
+        return replayer.process_band, replayer.compiler
 
     def _steady_controller(self, pipe: PipelineModel, compiler, bands, stats, verdicts):
         """Build one pass's steady controller, wired to the record caches.
@@ -551,19 +499,7 @@ class TimingEngine:
         total_points = nest.total_points()
 
         warmup = min(plan.warmup_bands, max(len(bands) - 1, 0))
-        if self.engine == "compiled" and self.timing == "columnar":
-            from repro.machine.columnar import ColumnarReplayer
-
-            run_band = ColumnarReplayer(
-                kernel, self.config, pipe, nest=nest, share=self._columnar_share()
-            ).process_band
-        else:
-            run_block = self._block_runner(kernel, pipe, nest=nest)
-
-            def run_band(band) -> None:
-                for block in band:
-                    run_block(block)
-
+        run_band, _compiler = self._band_machinery(kernel, pipe, nest)
         pipe.process_trace(kernel.preamble())
         for band in bands[:warmup]:
             run_band(band)

@@ -89,7 +89,6 @@ def _runner_for(profile: Dict):
             profile["options"],
             cache_dir=profile["cache_dir"],
             engine=profile["engine"],
-            timing=profile["timing"],
             steady=profile.get("steady"),
             sample=profile.get("sample"),
             artifact_dir=profile["artifact_dir"],
@@ -265,7 +264,6 @@ class StencilService:
         cache_dir=None,
         artifact_dir=None,
         engine: Optional[str] = None,
-        timing: Optional[str] = None,
         steady: Optional[str] = None,
         sample: Optional[bool] = None,
         weights: Optional[Dict[str, int]] = None,
@@ -276,7 +274,6 @@ class StencilService:
         self.cache_dir = cache_dir
         self.artifact_dir = artifact_dir
         self.engine = engine
-        self.timing = timing
         self.steady = steady
         self.sample = sample
         self.queue = LaneQueue(weights=weights, max_pending=max_pending)
@@ -382,7 +379,6 @@ class StencilService:
                 "options": dataclasses.asdict(options),
                 "cache_dir": str(self.cache_dir) if self.cache_dir else None,
                 "engine": self.engine,
-                "timing": self.timing,
                 "steady": self.steady,
                 "sample": self.sample,
                 "artifact_dir": str(self.artifact_dir) if self.artifact_dir else None,
@@ -396,7 +392,6 @@ class StencilService:
                 "options": options,
                 "cache_dir": self.cache_dir,
                 "engine": self.engine,
-                "timing": self.timing,
                 "steady": self.steady,
                 "sample": self.sample,
                 "artifact_dir": self.artifact_dir,
@@ -410,7 +405,7 @@ class StencilService:
         method, stencil, shape = cell
         digest, _ = cache_key(
             machine, method, stencil, tuple(shape), options, plan, warm,
-            iters=iters, timing=self.timing, sample=self.sample, steady=self.steady,
+            iters=iters, sample=self.sample, steady=self.steady,
         )
         return (action, digest)
 

@@ -2,9 +2,9 @@
 
 The simulator once replayed probe-verified shape classes through generated
 straight-line Python kernels.  That tier is gone: the interpreted walks it
-was verified against (``PipelineModel.process_template``,
-``FunctionalEngine.execute_template`` and the columnar scoreboard walk)
-are the compiled engine's only replay paths, and
+was verified against (the columnar replay with its scalar template walk,
+and ``FunctionalEngine.execute_template``) are the compiled engine's only
+replay paths, and
 :func:`repro.machine.codegen.codegen_stats` survives only as an all-zero
 stub for the benchmark's ``machine.codegen.*`` metrics.
 
@@ -70,12 +70,12 @@ def _build(method, machine_name, stencil, rows, cols):
     return kernel, config, mem, dst
 
 
-def _timed(method, machine_name, stencil, rows, cols, engine, timing="scalar"):
+def _timed(method, machine_name, stencil, rows, cols, engine):
     built = _build(method, machine_name, stencil, rows, cols)
     if built is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
     kernel, config, _, _ = built
-    return TimingEngine(config, engine=engine, timing=timing).run(
+    return TimingEngine(config, engine=engine).run(
         kernel, sample=True, plan=PLAN
     )
 
@@ -87,8 +87,8 @@ def _timed(method, machine_name, stencil, rows, cols, engine, timing="scalar"):
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_timing_codegen_bit_identical(method, machine_name, stencil, rows, cols):
-    """Sampled scalar replay through the interpreted walk equals the
-    reference engine, with the retired tier's counters untouched."""
+    """Sampled columnar replay equals the reference engine, with the
+    retired tier's counters untouched."""
     reference = _timed(method, machine_name, stencil, rows, cols, "reference")
     compiled = _timed(method, machine_name, stencil, rows, cols, "compiled")
     assert compiled.to_dict() == reference.to_dict()
@@ -100,7 +100,7 @@ def test_columnar_chunk_codegen_bit_identical(machine_name):
     """Phase-P chunks replay through the scoreboard walk, still exactly."""
     args = ("hstencil", machine_name, "star2d9p", 33, 48)
     reference = _timed(*args, "reference")
-    columnar = _timed(*args, "compiled", "columnar")
+    columnar = _timed(*args, "compiled")
     assert columnar.to_dict() == reference.to_dict()
     _assert_tier_idle()
 

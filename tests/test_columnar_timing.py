@@ -1,13 +1,13 @@
-"""Bit-identity of the columnar sampled-replay path vs the scalar walk.
+"""Bit-identity of the compiled engine's columnar replay vs the reference walk.
 
-The ``timing="columnar"`` mode of the compiled engine precomputes each
+The compiled engine replays every band columnar: it precomputes each
 block's word-address stream and memoizes the scoreboard recurrence, but it
-promises *exact* equality with the per-block scalar replay — identical
-:class:`~repro.machine.perf.PerfCounters` for every method, machine and
-grid shape, including odd/tail-predicated sizes.  These tests enforce that
-contract across the whole method registry, exercise the probe-verify /
-demote fallback (a demoted class must still produce identical counters via
-the scalar walk), and pin down the ``REPRO_TIMING`` selection plumbing.
+promises *exact* equality with the reference per-instruction walk —
+identical :class:`~repro.machine.perf.PerfCounters` for every method,
+machine and grid shape, including odd/tail-predicated sizes.  These tests
+enforce that contract across the whole method registry and exercise the
+probe-verify / demote fallback: a demoted class must still produce
+identical counters through columnar's private scalar template walk.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from repro.kernels.registry import METHODS, make_kernel
 from repro.machine.columnar import ColumnarReplayer
 from repro.machine.config import LX2, M4
 from repro.machine.memory import MemorySpace
-from repro.machine.timing import (
-    TIMING_MODES,
-    SamplePlan,
-    TimingEngine,
-    default_timing,
-)
+from repro.machine.timing import SamplePlan, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
@@ -51,33 +46,29 @@ def _build(method, machine_name, stencil, rows, cols):
     return kernel, config
 
 
-def _sampled(method, machine_name, stencil, rows, cols, timing):
+def _sampled(method, machine_name, stencil, rows, cols, engine):
     built = _build(method, machine_name, stencil, rows, cols)
     if built is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
     kernel, config = built
-    engine = TimingEngine(config, engine="compiled", timing=timing)
-    return engine.run(kernel, sample=True, plan=PLAN)
+    return TimingEngine(config, engine=engine).run(kernel, sample=True, plan=PLAN)
 
 
 @pytest.mark.parametrize("stencil,rows,cols", GRIDS, ids=[g[0] for g in GRIDS])
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_columnar_sampled_bit_identical(method, machine_name, stencil, rows, cols):
-    scalar = _sampled(method, machine_name, stencil, rows, cols, "scalar")
-    columnar = _sampled(method, machine_name, stencil, rows, cols, "columnar")
-    assert columnar.to_dict() == scalar.to_dict()
+    reference = _sampled(method, machine_name, stencil, rows, cols, "reference")
+    columnar = _sampled(method, machine_name, stencil, rows, cols, "compiled")
+    assert columnar.to_dict() == reference.to_dict()
 
 
-def test_forced_demotion_falls_back_bit_identically(monkeypatch):
+@pytest.mark.parametrize("machine_name", sorted(MACHINES))
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_forced_demotion_falls_back_bit_identically(monkeypatch, method, machine_name):
     """A class that fails probe verification must demote permanently and
-    keep producing counters identical to the all-scalar walk."""
-    built = _build("hstencil", "LX2", "box2d9p", 37, 29)
-    kernel, config = built
-
-    scalar = TimingEngine(config, engine="compiled", timing="scalar").run(
-        kernel, sample=True, plan=PLAN
-    )
+    keep producing counters identical to the reference walk."""
+    reference = _sampled(method, machine_name, "box2d9p", 37, 29, "reference")
 
     demotions = []
     original_demote = ColumnarReplayer._demote
@@ -86,35 +77,14 @@ def test_forced_demotion_falls_back_bit_identically(monkeypatch):
         original_demote(self, template, state)
         demotions.append(template)
 
-    # Every probe "fails": all shape classes must demote to the scalar walk.
+    # Every probe "fails": all shape classes must demote to the scalar
+    # template walk.
     monkeypatch.setattr(
         ColumnarReplayer, "_columnar_matches", staticmethod(lambda clone, pipe: False)
     )
     monkeypatch.setattr(ColumnarReplayer, "_demote", counting_demote)
 
-    built = _build("hstencil", "LX2", "box2d9p", 37, 29)
-    kernel, config = built
-    columnar = TimingEngine(config, engine="compiled", timing="columnar").run(
-        kernel, sample=True, plan=PLAN
-    )
+    columnar = _sampled(method, machine_name, "box2d9p", 37, 29, "compiled")
 
     assert demotions, "probe rejection must trigger at least one demotion"
-    assert columnar.to_dict() == scalar.to_dict()
-
-
-class TestTimingSelection:
-    def test_default_timing_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIMING", raising=False)
-        assert default_timing() == "columnar"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIMING", "scalar")
-        assert default_timing() == "scalar"
-        assert TimingEngine(LX2()).timing == "scalar"
-
-    def test_unknown_timing_rejected(self):
-        with pytest.raises(ValueError, match="unknown timing"):
-            TimingEngine(LX2(), timing="vectorised")
-
-    def test_modes_are_exactly_the_documented_pair(self):
-        assert TIMING_MODES == ("columnar", "scalar")
+    assert columnar.to_dict() == reference.to_dict()

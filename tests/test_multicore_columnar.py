@@ -1,16 +1,16 @@
-"""Bit-identity of the multicore columnar replay vs the scalar walk.
+"""Bit-identity of the multicore columnar replay vs the reference walk.
 
 :class:`~repro.machine.multicore.MulticoreModel` runs one
 :class:`~repro.machine.timing.TimingEngine` across every distinct slice
-height of a strong-scaling sweep, so under ``timing="columnar"`` each
-height after the first replays against the engine's already-warmed share
+height of a strong-scaling sweep, so on the compiled engine each height
+after the first replays columnar against the engine's already-warmed share
 (memory plans and scoreboard memo pool by structural signature).  That
 sharing is an optimization only: every scaling point — cycles, points,
 DRAM bytes, bandwidth flags, serial rebase — must be *identical* to the
-per-block scalar walk.  These tests enforce that contract across the
-method registry on both machines, with odd slice heights (tail-predicated
-rows, non-zero remainders), through the probe-verify / demote fallback,
-and over the ``engine=``/``timing=`` constructor plumbing.
+reference per-instruction walk.  These tests enforce that contract across
+the method registry on both machines, with odd slice heights
+(tail-predicated rows, non-zero remainders), through the probe-verify /
+demote fallback, and over the ``engine=`` constructor plumbing.
 """
 
 from __future__ import annotations
@@ -61,30 +61,30 @@ def _kernel_builder(method, config, stencil=STENCIL, cols=COLS):
     return kernel_for_rows
 
 
-def _sweep(method, machine_name, timing):
+def _sweep(method, machine_name, engine):
     config = MACHINES[machine_name]()
     builder = _kernel_builder(method, config)
     if builder is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
-    mc = MulticoreModel(config, engine="compiled", timing=timing)
+    mc = MulticoreModel(config, engine=engine)
     return mc.strong_scaling(builder, TOTAL_ROWS, CORES, plan=PLAN)
 
 
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_multicore_columnar_bit_identical(method, machine_name):
-    scalar = _sweep(method, machine_name, "scalar")
-    columnar = _sweep(method, machine_name, "columnar")
-    assert [asdict(p) for p in columnar] == [asdict(p) for p in scalar]
+    reference = _sweep(method, machine_name, "reference")
+    columnar = _sweep(method, machine_name, "compiled")
+    assert [asdict(p) for p in columnar] == [asdict(p) for p in reference]
     # The odd partition really was exercised: every multi-core point drops
     # remainder rows, so this sweep cannot degenerate to even slices.
     assert [p.remainder_rows for p in columnar] == [0, 1, 1, 5]
 
 
 def test_multicore_forced_demotion_falls_back_bit_identically(monkeypatch):
-    """Slice heights whose probes fail must demote to the scalar walk and
-    still produce an identical scaling curve."""
-    scalar = _sweep("hstencil", "LX2", "scalar")
+    """Slice heights whose probes fail must demote to the scalar template
+    walk and still produce a scaling curve identical to the reference."""
+    reference = _sweep("hstencil", "LX2", "reference")
 
     demotions = []
     original_demote = ColumnarReplayer._demote
@@ -94,28 +94,27 @@ def test_multicore_forced_demotion_falls_back_bit_identically(monkeypatch):
         demotions.append(template)
 
     # Every probe "fails": all shape classes of every slice height must
-    # demote permanently to the scalar walk.
+    # demote permanently to the scalar template walk.
     monkeypatch.setattr(
         ColumnarReplayer, "_columnar_matches", staticmethod(lambda clone, pipe: False)
     )
     monkeypatch.setattr(ColumnarReplayer, "_demote", counting_demote)
 
-    columnar = _sweep("hstencil", "LX2", "columnar")
+    columnar = _sweep("hstencil", "LX2", "compiled")
 
     assert demotions, "probe rejection must trigger at least one demotion"
-    assert [asdict(p) for p in columnar] == [asdict(p) for p in scalar]
+    assert [asdict(p) for p in columnar] == [asdict(p) for p in reference]
 
 
 class TestEngineInjection:
     def test_engine_timing_kwargs_match_injected_engine(self):
-        """``MulticoreModel(engine=, timing=)`` must behave exactly like
-        injecting a :class:`TimingEngine` built with the same selection."""
+        """``MulticoreModel(engine=)`` must behave exactly like injecting a
+        :class:`TimingEngine` built with the same selection."""
         config = LX2()
         builder = _kernel_builder("hstencil", config)
-        via_kwargs = MulticoreModel(config, engine="compiled", timing="columnar")
+        via_kwargs = MulticoreModel(config, engine="compiled")
         via_engine = MulticoreModel(
-            config,
-            timing_engine=TimingEngine(config, engine="compiled", timing="columnar"),
+            config, timing_engine=TimingEngine(config, engine="compiled")
         )
         a = via_kwargs.strong_scaling(builder, TOTAL_ROWS, CORES, plan=PLAN)
         b = via_engine.strong_scaling(builder, TOTAL_ROWS, CORES, plan=PLAN)
@@ -129,7 +128,7 @@ class TestEngineInjection:
     def test_non_positive_bandwidth_rejected(self):
         config = replace(LX2(), mem_bandwidth_bytes_per_cycle=0)
         mc = MulticoreModel(config)
-        counters = TimingEngine(LX2(), engine="compiled", timing="columnar").run(
+        counters = TimingEngine(LX2(), engine="compiled").run(
             _kernel_builder("hstencil", LX2())(TOTAL_ROWS), sample=True, plan=PLAN
         )
         with pytest.raises(ValueError, match="must be positive"):

@@ -326,9 +326,7 @@ def test_two_workers_generate_same_classes_on_cold_store(tmp_path):
     cells = [("hstencil", "star2d9p", (33, 48)), ("hstencil", "star2d9p", (35, 48))]
 
     async def main():
-        async with StencilService(
-            workers=2, artifact_dir=str(store), timing="scalar"
-        ) as service:
+        async with StencilService(workers=2, artifact_dir=str(store)) as service:
             job = await service.submit(cells, lane="batch")
             return await job.results()
 
@@ -356,7 +354,7 @@ def test_two_workers_generate_same_classes_on_cold_store(tmp_path):
     try:
         clear_program_pool(reset_stats=True)
         reset_compile_stats()
-        warm = ExperimentRunner(LX2(), timing="scalar", artifact_dir=str(store))
+        warm = ExperimentRunner(LX2(), artifact_dir=str(store))
         warm.measure(*cells[0])
         stats = compile_stats()
         assert stats["compiled_classes"] == 0

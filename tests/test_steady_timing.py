@@ -351,7 +351,7 @@ def test_l2_lines_never_decrease_across_band_boundaries(monkeypatch):
 
     monkeypatch.setattr(TimingEngine, "_band_machinery", counting)
     kernel, config = _build("hstencil", "M4", "box2d25p", 512, 512)
-    engine = TimingEngine(config, engine="compiled", timing="columnar", steady="off")
+    engine = TimingEngine(config, engine="compiled", steady="off")
     engine.run(kernel, sample=False, warm=False)
     assert len(counts) == len(kernel.loop_nest().bands())
     assert counts == sorted(counts)

@@ -201,12 +201,13 @@ def test_state_signature_recurs_at_pass_boundaries():
     _, kernel = _kernel()
     pipe = PipelineModel(config)
     engine = TimingEngine(config, engine="reference")
-    run_block = engine._block_runner(kernel, pipe)
+    nest = kernel.loop_nest()
+    run_band, _compiler = engine._band_machinery(kernel, pipe, nest)
 
     def one_pass():
         pipe.process_trace(kernel.preamble())
-        for block in kernel.loop_nest():
-            run_block(block)
+        for band in nest.bands():
+            run_band(band)
 
     one_pass()  # warm
     one_pass()
