@@ -83,11 +83,16 @@ class CacheStats:
 class CacheLevel:
     """One set-associative, write-back, write-allocate cache level.
 
-    Replacement state is an age map per set (``line -> last-use tick`` from a
-    monotonic counter): hits and installs are O(1) dict operations, and only
-    an actual eviction scans the (associativity-bounded) set for its oldest
-    entry.  Age order is exactly MRU-list order, so replacement decisions are
-    identical to a textbook LRU list at a fraction of the bookkeeping cost.
+    Replacement state is one dict per set, ``line -> last-use tick`` from a
+    monotonic counter, whose key order *is* the LRU order, oldest first.
+    Every writer keeps it so: a hit deletes its line and re-inserts it with
+    a fresh tick (moving it to the end), a new line is appended, and the
+    eviction victim is simply the first key.  Hits, installs and evictions
+    are all O(1) dict operations, and decisions are identical to a textbook
+    LRU list.  Ticks therefore ascend along each set; they are kept because
+    equal dicts with unique ascending ticks are equal *in order* too (the
+    columnar probe compares sets with ``==``) and because the signature
+    digest memo keys on the tick.
     """
 
     def __init__(self, geometry: CacheGeometry, name: str) -> None:
@@ -95,7 +100,7 @@ class CacheLevel:
         self.name = name
         self.num_sets = geometry.num_sets
         self.assoc = geometry.associativity
-        # Per set: {line tag -> last-use tick}; bigger tick = more recent.
+        # Per set: {line tag -> last-use tick}, in LRU order (oldest first).
         self._sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
         self._tick = 0
         self._dirty: set = set()
@@ -112,6 +117,7 @@ class CacheLevel:
         if line not in ways:
             return False
         if update_lru:
+            del ways[line]
             self._tick += 1
             ways[line] = self._tick
         return True
@@ -124,6 +130,7 @@ class CacheLevel:
         ways = self._sets[line % self.num_sets]
         self._tick += 1
         if line in ways:
+            del ways[line]
             ways[line] = self._tick
             if dirty:
                 self._dirty.add(line)
@@ -132,7 +139,7 @@ class CacheLevel:
         if dirty:
             self._dirty.add(line)
         if len(ways) > self.assoc:
-            victim = min(ways, key=ways.__getitem__)
+            victim = next(iter(ways))
             del ways[victim]
             if victim in self._dirty:
                 self._dirty.discard(victim)
@@ -151,13 +158,12 @@ class CacheLevel:
         """Canonical replacement-relevant state (tags, LRU order, dirty bits).
 
         Absolute tick values are *not* part of the signature: replacement
-        only ever compares ticks within one set, so the per-set LRU order
-        captures everything a future access sequence can observe.  Two
-        cache levels with equal signatures behave identically from here on.
+        only ever evicts a set's oldest line, so the per-set LRU order, which
+        is each dict's key order, captures everything a future access
+        sequence can observe.  Two cache levels with equal signatures behave
+        identically from here on.
         """
-        sets = tuple(
-            tuple(sorted(ways, key=ways.__getitem__)) for ways in self._sets
-        )
+        sets = tuple(tuple(ways) for ways in self._sets)
         # Sorted tuple, not a set: signatures are also digested via repr,
         # which must not depend on hash-table insertion history.
         return sets, tuple(sorted(self._dirty))
@@ -267,11 +273,13 @@ class CacheHierarchy:
 
     def _access_line(self, line: int, write: bool) -> int:
         # L1-hit fast path: one set resolution serves the probe, the LRU
-        # promotion and the dirty marking (the overwhelmingly common case).
+        # promotion (move to the end) and the dirty marking (the
+        # overwhelmingly common case).
         l1 = self.l1
         l1.stats.demand_accesses += 1
         ways = l1._sets[line % l1.num_sets]
         if line in ways:
+            del ways[line]
             l1._tick += 1
             ways[line] = l1._tick
             l1.stats.demand_hits += 1

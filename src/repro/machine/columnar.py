@@ -94,24 +94,6 @@ REPROBE_INTERVAL = 256
 SB_CHUNK = 48
 
 
-def _lru_victim(ways: Dict[int, int]) -> int:
-    """Smallest-tick key of a cache set — the LRU eviction victim.
-
-    Equivalent to ``min(ways, key=ways.__getitem__)`` (ticks are unique, so
-    there are no ties to break) but ~2.5x faster: one C-level pass over
-    ``items()`` instead of a hash probe per key.  Eviction runs once per
-    fill in the steady out-of-cache state, which makes this the single
-    hottest arithmetic in the memory phase.
-    """
-    it = iter(ways.items())
-    vk, vt = next(it)
-    for k, t in it:
-        if t < vt:
-            vk = k
-            vt = t
-    return vk
-
-
 def _pipes_key(vals: List[int], f0: int) -> Tuple[int, ...]:
     """Port-pipe context: exact offsets past the frontier, rank order below.
 
@@ -592,8 +574,14 @@ class ColumnarReplayer:
         ticks) and both sides then process the same block, a correct replay
         leaves *identical* absolute state — so this compares raw structures
         directly, which is both stricter and much cheaper than building the
-        normalized ``state_signature`` tuples.  Stream-table order matters
-        (LRU eviction), hence the item-list comparison.
+        normalized ``state_signature`` tuples.  Cache sets compare with dict
+        ``==``, which ignores key order; that is still order-exact because
+        every set keeps its keys in ascending-tick (LRU) order and ticks are
+        unique, so equal line->tick maps have equal orders.  Stream-table
+        order matters (LRU eviction) and carries no ticks, hence the
+        item-list comparison.  ``static_watch_hits`` decides whether a
+        steady verification window engages, so it is compared like every
+        other counter.
         """
         ch, ph = clone.hierarchy, pipe.hierarchy
         cf, pf = clone.prefetcher, pipe.prefetcher
@@ -609,6 +597,7 @@ class ColumnarReplayer:
             and clone.flops == pipe.flops
             and clone.useful_flops == pipe.useful_flops
             and clone.sw_prefetches == pipe.sw_prefetches
+            and ch.static_watch_hits == ph.static_watch_hits
             and ch.mem_lines_read == ph.mem_lines_read
             and ch.mem_lines_written == ph.mem_lines_written
             and ch.l1._tick == ph.l1._tick
@@ -650,6 +639,12 @@ class ColumnarReplayer:
         shared miss path, same inlined prefetcher training in the same
         order) — only the scoreboard arithmetic is absent, which is sound
         because nothing in the cache or prefetcher ever reads it.
+
+        Every inlined cache write keeps the set-order invariant of
+        :class:`~repro.machine.cache.CacheLevel`: a hit deletes its line and
+        re-inserts it with a fresh tick (moving it to the end of its set), a
+        fill appends, and an overflowing set evicts its first key, the LRU
+        line — O(1), with no scan of the set.
         """
         hierarchy = pipe.hierarchy
         l1 = hierarchy.l1
@@ -725,6 +720,7 @@ class ColumnarReplayer:
                             watch_hits += 1
                         ways2 = l2_sets[target % l2_num_sets]
                         if target in ways2:
+                            del ways2[target]
                             l2_tick += 1
                             ways2[target] = l2_tick
                         else:
@@ -732,7 +728,7 @@ class ColumnarReplayer:
                             l2_tick += 1
                             ways2[target] = l2_tick
                             if len(ways2) > l2_assoc:
-                                v2 = _lru_victim(ways2)
+                                v2 = next(iter(ways2))
                                 del ways2[v2]
                                 if v2 in l2_dirty:
                                     l2_dirty.discard(v2)
@@ -741,7 +737,7 @@ class ColumnarReplayer:
                         l1_tick += 1
                         ways[target] = l1_tick
                         if len(ways) > l1_assoc:
-                            victim = _lru_victim(ways)
+                            victim = next(iter(ways))
                             del ways[victim]
                             if victim in l1_dirty:
                                 if watch is not None and victim in watch:
@@ -756,7 +752,7 @@ class ColumnarReplayer:
                                     wv[victim] = l2_tick
                                     l2_dirty.add(victim)
                                     if len(wv) > l2_assoc:
-                                        v2 = _lru_victim(wv)
+                                        v2 = next(iter(wv))
                                         del wv[v2]
                                         if v2 in l2_dirty:
                                             l2_dirty.discard(v2)
@@ -768,8 +764,8 @@ class ColumnarReplayer:
         # cache line, so most operations touch exactly one line or
         # straddle two — and out of cache the prefetcher keeps the demand
         # stream hitting in L1.  Probing all touched lines up front (peeks
-        # only, no state change) proves the demand pass reduces to tick
-        # refreshes with ``level == 1``, so the allocation branch of the
+        # only, no state change) proves the demand pass reduces to LRU
+        # promotions with ``level == 1``, so the allocation branch of the
         # training pass is dead and training collapses to the per-line
         # move/advance checks spelled out inline below — the exact
         # ``_observe_line`` sequence the general walk runs, minus its
@@ -789,6 +785,7 @@ class ColumnarReplayer:
                 for line in range(first, last + 1):
                     ways = l1_sets[line % l1_num_sets]
                     if line in ways:
+                        del ways[line]
                         l1_tick += 1
                         ways[line] = l1_tick
                         pf_probe_hits += 1
@@ -797,6 +794,7 @@ class ColumnarReplayer:
                         watch_hits += 1
                     ways2 = l2_sets[line % l2_num_sets]
                     if line in ways2:
+                        del ways2[line]
                         l2_tick += 1
                         ways2[line] = l2_tick
                     else:
@@ -804,7 +802,7 @@ class ColumnarReplayer:
                         l2_tick += 1
                         ways2[line] = l2_tick
                         if len(ways2) > l2_assoc:
-                            v2 = _lru_victim(ways2)
+                            v2 = next(iter(ways2))
                             del ways2[v2]
                             if v2 in l2_dirty:
                                 l2_dirty.discard(v2)
@@ -815,7 +813,7 @@ class ColumnarReplayer:
                     if c:
                         l1_dirty.add(line)
                     if len(ways) > l1_assoc:
-                        victim = _lru_victim(ways)
+                        victim = next(iter(ways))
                         del ways[victim]
                         if victim in l1_dirty:
                             if watch is not None and victim in watch:
@@ -830,7 +828,7 @@ class ColumnarReplayer:
                                 wv[victim] = l2_tick
                                 l2_dirty.add(victim)
                                 if len(wv) > l2_assoc:
-                                    v2 = _lru_victim(wv)
+                                    v2 = next(iter(wv))
                                     del wv[v2]
                                     if v2 in l2_dirty:
                                         l2_dirty.discard(v2)
@@ -844,6 +842,7 @@ class ColumnarReplayer:
                 if first == last:
                     ways = l1_sets[first % l1_num_sets]
                     if first in ways:
+                        del ways[first]
                         l1_tick += 1
                         ways[first] = l1_tick
                         demand_accesses += 1
@@ -865,8 +864,10 @@ class ColumnarReplayer:
                     if first in ways:
                         waysb = l1_sets[last % l1_num_sets]
                         if last in waysb:
+                            del ways[first]
                             l1_tick += 1
                             ways[first] = l1_tick
+                            del waysb[last]
                             l1_tick += 1
                             waysb[last] = l1_tick
                             demand_accesses += 2
@@ -906,6 +907,7 @@ class ColumnarReplayer:
                 for line in range(first, last + 1):
                     ways = l1_sets[line % l1_num_sets]
                     if line in ways:
+                        del ways[line]
                         l1_tick += 1
                         ways[line] = l1_tick
                         demand_hits += 1
@@ -917,6 +919,7 @@ class ColumnarReplayer:
                         l2_demand_accesses += 1
                         ways2 = l2_sets[line % l2_num_sets]
                         if line in ways2:
+                            del ways2[line]
                             l2_tick += 1
                             ways2[line] = l2_tick
                             l2_demand_hits += 1
@@ -926,7 +929,7 @@ class ColumnarReplayer:
                             l2_tick += 1
                             ways2[line] = l2_tick
                             if len(ways2) > l2_assoc:
-                                v2 = _lru_victim(ways2)
+                                v2 = next(iter(ways2))
                                 del ways2[v2]
                                 if v2 in l2_dirty:
                                     l2_dirty.discard(v2)
@@ -938,7 +941,7 @@ class ColumnarReplayer:
                         if is_store:
                             l1_dirty.add(line)
                         if len(ways) > l1_assoc:
-                            victim = _lru_victim(ways)
+                            victim = next(iter(ways))
                             del ways[victim]
                             if victim in l1_dirty:
                                 if watch is not None and victim in watch:
@@ -953,7 +956,7 @@ class ColumnarReplayer:
                                     wv[victim] = l2_tick
                                     l2_dirty.add(victim)
                                     if len(wv) > l2_assoc:
-                                        v2 = _lru_victim(wv)
+                                        v2 = next(iter(wv))
                                         del wv[v2]
                                         if v2 in l2_dirty:
                                             l2_dirty.discard(v2)

@@ -284,6 +284,7 @@ class PipelineModel:
                             demand_accesses += 1
                             ways = l1_sets[line % l1_num_sets]
                             if line in ways:
+                                del ways[line]
                                 l1._tick += 1
                                 ways[line] = l1._tick
                                 demand_hits += 1
@@ -335,6 +336,7 @@ class PipelineModel:
                                                         target % l2_num_sets
                                                     ]
                                                     if target in ways2:
+                                                        del ways2[target]
                                                         l2._tick += 1
                                                         ways2[target] = l2._tick
                                                     else:

@@ -269,9 +269,10 @@ def rebased_signature(
     Returns ``None`` while any static line is resident in L2 (the L2
     rotation argument requires an all-moving L2).  Static tags are kept
     fixed and tagged ``("s", line)`` so they can never collide with a
-    translated moving tag.  Dirty sets are serialized as *sorted tuples*:
-    signatures are compared by digest-of-repr, which must not depend on
-    hash-table insertion history.
+    translated moving tag.  Cache sets are read in key order, which is
+    their LRU order (see :class:`~repro.machine.cache.CacheLevel`).  Dirty
+    sets are serialized as *sorted tuples*: signatures are compared by
+    digest-of-repr, which must not depend on hash-table insertion history.
     """
     h = pipe.hierarchy
     l2 = h.l2
@@ -286,7 +287,7 @@ def rebased_signature(
     l1_sig = tuple(
         tuple(
             (("s", t) if t in static_lines else t - off)
-            for t in sorted(ways, key=ways.__getitem__)
+            for t in ways
         )
         for ways in l1._sets
     )
@@ -298,7 +299,7 @@ def rebased_signature(
     )
     rot = off % n2
     l2_sig = tuple(
-        tuple(t - off for t in sorted(ways, key=ways.__getitem__))
+        tuple(t - off for t in ways)
         for ways in l2_sets[rot:] + l2_sets[:rot]
     )
     l2_dirty = tuple(sorted(t - off for t in l2._dirty))

@@ -60,3 +60,19 @@ def assert_matches_reference(got: np.ndarray, ref: np.ndarray, rtol: float = 1e-
     scale = max(float(np.max(np.abs(ref))), 1e-30)
     err = float(np.max(np.abs(got - ref))) / scale
     assert err < rtol, f"max relative error {err:.3e} exceeds {rtol}"
+
+
+def assert_sets_in_lru_order(hierarchy) -> None:
+    """Every cache set's key order is its LRU order: ticks strictly ascend.
+
+    Eviction takes a set's first key, and signatures read recency order
+    straight off the dicts, so both are exact only while this holds.
+    """
+    for level in (hierarchy.l1, hierarchy.l2):
+        for index, ways in enumerate(level._sets):
+            ticks = list(ways.values())
+            assert all(a < b for a, b in zip(ticks, ticks[1:])), (
+                level.name,
+                index,
+                list(ways.items()),
+            )

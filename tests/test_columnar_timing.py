@@ -19,6 +19,7 @@ from repro.kernels.registry import METHODS, make_kernel
 from repro.machine.columnar import ColumnarReplayer
 from repro.machine.config import LX2, M4
 from repro.machine.memory import MemorySpace
+from repro.machine.pipeline import PipelineModel
 from repro.machine.timing import SamplePlan, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
@@ -88,3 +89,15 @@ def test_forced_demotion_falls_back_bit_identically(monkeypatch, method, machine
 
     assert demotions, "probe rejection must trigger at least one demotion"
     assert columnar.to_dict() == reference.to_dict()
+
+
+def test_probe_compares_static_watch_hits():
+    """Steady verification windows engage on the watch count, so a
+    columnar miscount of it must fail the probe like any other counter."""
+    kernel, config = _build("hstencil", "LX2", "box2d9p", 37, 29)
+    pipe = PipelineModel(config)
+    pipe.process_trace(kernel.emit(next(iter(kernel.loop_nest().bands()[0]))))
+    clone = pipe.clone()
+    assert ColumnarReplayer._columnar_matches(clone, pipe)
+    clone.hierarchy.static_watch_hits += 1
+    assert not ColumnarReplayer._columnar_matches(clone, pipe)

@@ -3,9 +3,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.machine.cache import CacheHierarchy, CacheLevel, CacheStats, L1, L2, MEM
 from repro.machine.config import CacheGeometry, LX2
+
+from tests.helpers import assert_sets_in_lru_order
 
 
 def tiny_level(sets=4, assoc=2):
@@ -205,3 +208,177 @@ class TestCacheStats:
         assert a.demand_hits == 4
         assert a.prefetch_probes == 2
         assert a.prefetch_probe_hits == 1
+
+
+# ---------------------------------------------------------------------------
+# Textbook LRU reference: each set an explicit recency list, MRU last.  The
+# hierarchy keeps the same order in its dicts' key order and evicts the
+# first key, so victims, writebacks, counters and per-set order must agree
+# with the list model after every operation.
+# ---------------------------------------------------------------------------
+
+
+class _ListLevel:
+    def __init__(self, geometry: CacheGeometry) -> None:
+        self.num_sets = geometry.num_sets
+        self.assoc = geometry.associativity
+        self.sets = [[] for _ in range(self.num_sets)]
+        self.dirty = set()
+        self.stats = CacheStats()
+        self.victims = []
+
+    def lookup(self, line, promote=True):
+        ways = self.sets[line % self.num_sets]
+        if line not in ways:
+            return False
+        if promote:
+            ways.remove(line)
+            ways.append(line)
+        return True
+
+    def install(self, line, dirty):
+        ways = self.sets[line % self.num_sets]
+        if line in ways:
+            ways.remove(line)
+        ways.append(line)
+        if dirty:
+            self.dirty.add(line)
+        if len(ways) > self.assoc:
+            victim = ways.pop(0)
+            self.victims.append(victim)
+            if victim in self.dirty:
+                self.dirty.discard(victim)
+                self.stats.writebacks += 1
+                return victim
+        return None
+
+
+class _ListHierarchy:
+    def __init__(self, config) -> None:
+        self.line_words = config.l1.line_bytes // 8
+        self.l1 = _ListLevel(config.l1)
+        self.l2 = _ListLevel(config.l2)
+        self.mem_lines_read = 0
+        self.mem_lines_written = 0
+
+    def _lines(self, addr, words):
+        return range(addr // self.line_words, (addr + words - 1) // self.line_words + 1)
+
+    def demand_access(self, addr, words, write):
+        for line in self._lines(addr, words):
+            self.l1.stats.demand_accesses += 1
+            if self.l1.lookup(line):
+                self.l1.stats.demand_hits += 1
+                if write:
+                    self.l1.dirty.add(line)
+                continue
+            self.l2.stats.demand_accesses += 1
+            if self.l2.lookup(line):
+                self.l2.stats.demand_hits += 1
+            else:
+                self.mem_lines_read += 1
+                self._fill_l2(line)
+            self._fill_l1(line, write)
+
+    def software_prefetch(self, addr, words, write):
+        for line in self._lines(addr, words):
+            self.l1.stats.prefetch_probes += 1
+            if self.l1.lookup(line):
+                self.l1.stats.prefetch_probe_hits += 1
+                continue
+            if not self.l2.lookup(line):
+                self.mem_lines_read += 1
+                self._fill_l2(line)
+            self._fill_l1(line, write)
+            self.l1.stats.prefetch_fills += 1
+
+    def hardware_prefetch(self, line):
+        if line in self.l1.sets[line % self.l1.num_sets]:
+            return
+        if not self.l2.lookup(line):
+            self.mem_lines_read += 1
+            self._fill_l2(line)
+        self._fill_l1(line, False)
+        self.l1.stats.prefetch_fills += 1
+
+    def _fill_l1(self, line, dirty):
+        victim = self.l1.install(line, dirty)
+        if victim is None:
+            return
+        if self.l2.lookup(victim, promote=False):
+            self.l2.dirty.add(victim)
+        elif self.l2.install(victim, True) is not None:
+            self.mem_lines_written += 1
+
+    def _fill_l2(self, line):
+        if self.l2.install(line, False) is not None:
+            self.mem_lines_written += 1
+
+
+def _record_victims(level: CacheLevel) -> list:
+    """Wrap ``level.install`` to log every line it evicts, clean or dirty."""
+    victims = []
+    install = level.install
+
+    def recording(line, dirty=False):
+        ways = level._sets[line % level.num_sets]
+        before = list(ways)
+        dirty_victim = install(line, dirty=dirty)
+        victims.extend(x for x in before if x not in ways)
+        return dirty_victim
+
+    level.install = recording
+    return victims
+
+
+LRU_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["load", "store", "sw-prefetch", "sw-prefetch-store", "hw-prefetch"]),
+        st.integers(0, 40 * 8),  # word address: 40 lines over a few sets
+        st.integers(1, 16),  # words: up to three lines per access
+    ),
+    min_size=1,
+    max_size=150,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=LRU_OPS,
+    l1_sets=st.sampled_from([1, 2, 4]),
+    l1_ways=st.integers(1, 4),
+    l2_sets=st.sampled_from([1, 2, 4, 8]),
+    l2_ways=st.integers(1, 4),
+)
+def test_hierarchy_matches_list_lru(ops, l1_sets, l1_ways, l2_sets, l2_ways):
+    config = dataclasses.replace(
+        LX2(),
+        l1=CacheGeometry(l1_sets * l1_ways * 64, 64, l1_ways),
+        l2=CacheGeometry(l2_sets * l2_ways * 64, 64, l2_ways),
+    )
+    h = CacheHierarchy(config)
+    ref = _ListHierarchy(config)
+    victims = (_record_victims(h.l1), _record_victims(h.l2))
+    for kind, addr, words in ops:
+        if kind == "hw-prefetch":
+            h.hardware_prefetch(addr // 8)
+            ref.hardware_prefetch(addr // 8)
+        elif kind.startswith("sw-prefetch"):
+            write = kind == "sw-prefetch-store"
+            h.software_prefetch(addr, words, write=write)
+            ref.software_prefetch(addr, words, write=write)
+        else:
+            write = kind == "store"
+            h.demand_access(addr, words, write=write)
+            ref.demand_access(addr, words, write=write)
+        op = (kind, addr, words)
+        assert_sets_in_lru_order(h)
+        for level, ref_level, got_victims in zip((h.l1, h.l2), (ref.l1, ref.l2), victims):
+            assert [list(ways) for ways in level._sets] == ref_level.sets, op
+            assert got_victims == ref_level.victims, op
+            assert level._dirty == ref_level.dirty, op
+            assert level.stats == ref_level.stats, op
+        assert (h.mem_lines_read, h.mem_lines_written) == (
+            ref.mem_lines_read,
+            ref.mem_lines_written,
+        ), op

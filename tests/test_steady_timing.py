@@ -17,6 +17,7 @@ could have room to engage.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import METHODS, make_kernel
 from repro.kernels.template import RowTemplate
+from repro.machine import steady as steady_mod
 from repro.machine.artifacts import install_artifact_store
 from repro.machine.cache import CacheHierarchy
 from repro.machine.config import LX2, M4, CacheGeometry
@@ -38,6 +40,8 @@ from repro.machine.timing import (
 )
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+
+from tests.helpers import assert_sets_in_lru_order
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
@@ -356,6 +360,113 @@ def test_l2_lines_never_decrease_across_band_boundaries(monkeypatch):
     assert len(counts) == len(kernel.loop_nest().bands())
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
+
+
+# ---------------------------------------------------------------------------
+# LRU order: every cache set keeps its keys oldest-first, so eviction takes
+# the first key and signatures read recency order with no sort.  The
+# hierarchy's own paths are checked against a list-based LRU in
+# test_machine_cache.py; these read the invariant on the columnar replay's
+# inlined paths and right after a periodic jump relocates the sets.
+# ---------------------------------------------------------------------------
+
+
+def test_sets_stay_in_lru_order_across_band_boundaries(monkeypatch):
+    checked = []
+    original = TimingEngine._band_machinery
+
+    def checking(self, kernel, pipe, nest):
+        run_band, compiler = original(self, kernel, pipe, nest)
+
+        def run_and_check(band):
+            run_band(band)
+            assert_sets_in_lru_order(pipe.hierarchy)
+            checked.append(band)
+
+        return run_and_check, compiler
+
+    monkeypatch.setattr(TimingEngine, "_band_machinery", checking)
+    kernel, config = _build("hstencil", "M4", "box2d25p", 512, 512)
+    engine = TimingEngine(config, engine="compiled", steady="off")
+    engine.run(kernel, sample=False, warm=False)
+    assert len(checked) == len(kernel.loop_nest().bands())
+
+
+def test_sets_stay_in_lru_order_after_apply_jump(monkeypatch):
+    jumps = []
+    original = steady_mod.apply_jump
+
+    def checking(pipe, static_lines, shift, m, delta):
+        original(pipe, static_lines, shift, m, delta)
+        assert_sets_in_lru_order(pipe.hierarchy)
+        jumps.append(shift)
+
+    monkeypatch.setattr(steady_mod, "apply_jump", checking)
+    stencil, rows, cols = ENGAGE_GRIDS["LX2"]
+    _, stats = _full("hstencil", "LX2", "on", stencil, rows, cols)
+    assert stats.engaged >= 1
+    assert len(jumps) == stats.engaged
+
+
+# ---------------------------------------------------------------------------
+# Signature pins.  Band-boundary ``state_digest()`` values and every
+# ``rebased_signature`` taken along two runs, hashed in order.  Stored steady
+# records and template bundles are keyed on these signatures, so a change
+# to how cache state is serialized must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+#: (machine, stencil, size, iters) -> (trail digest, boundaries, rebased sigs)
+SIGNATURE_PINS = {
+    ("LX2", "box2d25p", 384, 1): (
+        "497eda06c4c7507f2eb0d108c622b7d94ca941de4e8d3f27e19bc21975e28dad",
+        56,
+        24,
+    ),
+    ("M4", "box2d9p", 64, 16): (
+        "763e38150617e605de6e3b9e83c62a49d2f4f995e21de59ed4958440a3139b75",
+        128,
+        0,
+    ),
+}
+
+
+def _signature_trail(monkeypatch, machine_name, stencil, size, iters):
+    trail = hashlib.sha256()
+    counts = [0, 0]
+    original_rebased = steady_mod.rebased_signature
+
+    def recording_rebased(pipe, static_lines, off):
+        sig = original_rebased(pipe, static_lines, off)
+        trail.update(repr(("rebased", off, sig)).encode())
+        counts[1] += 1
+        return sig
+
+    original_machinery = TimingEngine._band_machinery
+
+    def recording(self, kernel, pipe, nest):
+        run_band, compiler = original_machinery(self, kernel, pipe, nest)
+
+        def run_and_record(band):
+            run_band(band)
+            trail.update(repr(("band", pipe.state_digest())).encode())
+            counts[0] += 1
+
+        return run_and_record, compiler
+
+    monkeypatch.setattr(steady_mod, "rebased_signature", recording_rebased)
+    monkeypatch.setattr(TimingEngine, "_band_machinery", recording)
+    kernel, config = _build("hstencil", machine_name, stencil, size, size)
+    engine = TimingEngine(config, engine="compiled", steady="on")
+    engine.run(kernel, sample=False, iters=iters)
+    return (trail.hexdigest(), *counts)
+
+
+@pytest.mark.parametrize(
+    "machine_name,stencil,size,iters", sorted(SIGNATURE_PINS), ids=str
+)
+def test_signature_trail_pinned(monkeypatch, machine_name, stencil, size, iters):
+    got = _signature_trail(monkeypatch, machine_name, stencil, size, iters)
+    assert got == SIGNATURE_PINS[machine_name, stencil, size, iters]
 
 
 # ---------------------------------------------------------------------------
