@@ -1,4 +1,4 @@
-"""Simulator throughput — reference walk vs compiled replay vs pass memo.
+"""Simulator throughput — reference walk vs compiled replay vs pass jump.
 
 Two workloads, one artifact (``benchmarks/results/BENCH_simspeed.json``):
 
@@ -7,15 +7,14 @@ Two workloads, one artifact (``benchmarks/results/BENCH_simspeed.json``):
   methodology) through three engine configurations:
 
   - ``reference``: per-instruction object walk, every pass simulated;
-  - ``compiled`` with ``REPRO_MEMO=off``: columnar template replay, every
-    pass simulated (the pre-memoization engine — the baseline the
-    memoization speedup is measured against);
-  - ``compiled`` with ``REPRO_MEMO=pass`` (the default): the same replay
-    plus pass-level fixed-point memoization — once the machine state
-    signature at a pass boundary recurs, the remaining passes are applied
-    arithmetically.
-
-  ``off`` and ``pass`` are the only two ``REPRO_MEMO`` modes.
+  - ``compiled`` with ``steady="off"``: columnar template replay, every
+    pass simulated (the baseline the pass-jump speedup is measured
+    against);
+  - ``compiled`` with ``steady="on"`` (the default): the same replay plus
+    the pass-boundary jump — once the machine state signature at a pass
+    boundary recurs, the remaining passes are applied arithmetically.
+    The in-cache cells never engage band elision, so the jump is the only
+    difference between the two.
 
 * **Figure 15-style out-of-cache workload**: band-sampled large grids
   (``iters = 1``; sampling and repeated iters are mutually exclusive)
@@ -30,7 +29,6 @@ simulation speed, not cache hits.
 
 import os
 import time
-from contextlib import contextmanager
 
 from conftest import bench_artifact, report
 
@@ -52,8 +50,8 @@ OOC_SHAPE = (2048, 2048)
 OOC_STENCIL = "box2d25p"
 OOC_METHODS = ["hstencil", "auto"]
 
-#: Wall-clock targets.  ``compiled+pass-memo`` must beat the memo-off
-#: compiled engine by >= 4x on the iterated in-cache workload, and the
+#: Wall-clock targets.  ``compiled`` with steady on must beat it with
+#: steady off by >= 4x on the iterated in-cache workload, and the
 #: reference walk by >= 20x.  Both compiled sides replay columnar, the
 #: compiled engine's only band runner.
 SPEEDUP_TARGET_VS_COMPILED = 4.0
@@ -61,7 +59,7 @@ SPEEDUP_TARGET_VS_REFERENCE = 20.0
 
 #: Out-of-cache target: columnar replay vs the reference walk on the
 #: band-sampled workload (the floor leaves CI noise room below the
-#: measured ratio).  Out of cache the pass memo cannot fire (the cache
+#: measured ratio).  Out of cache the pass jump cannot fire (the cache
 #: state never recurs), so this is compile-once + address-stream replay
 #: plus the block/chunk scoreboard memo over relative contexts.  The
 #: combined cell includes the ``auto`` kernel, whose large blocks make the
@@ -104,7 +102,7 @@ MC_GUARD_PLAN = SamplePlan(min_measure_points=200_000)
 MC_SPEEDUP_TARGET = 2.0
 
 #: Small workload for the CI wall-clock regression guard: the full run
-#: records its memo-off / pass-memo ratio in the JSON artifact, the smoke
+#: records its steady-off / steady-on ratio in the JSON artifact, the smoke
 #: guard re-measures it and fails when it degrades by more than GUARD_SLACK.
 #: A ratio of two same-process runs is machine-independent, unlike raw
 #: seconds.
@@ -171,14 +169,14 @@ _RESULTS_JSON = os.path.join(
 
 
 def _guard_speedup():
-    """Measured memo-off / pass-memo wall-clock ratio on the guard cells.
+    """Measured steady-off / steady-on wall-clock ratio on the guard cells.
 
-    Both sides replay columnar, so the ratio is the pass memo's payoff
-    alone.
+    Both sides replay columnar and the in-cache guard cells never engage
+    band elision, so the ratio is the pass jump's payoff alone.
     """
     off_s, _, _ = _run_config("compiled", "off", GUARD_CELLS, iters=GUARD_ITERS)
-    memo_s, _, _ = _run_config("compiled", "pass", GUARD_CELLS, iters=GUARD_ITERS)
-    return off_s / memo_s
+    on_s, _, _ = _run_config("compiled", "on", GUARD_CELLS, iters=GUARD_ITERS)
+    return off_s / on_s
 
 
 def _multicore_run(engine):
@@ -248,7 +246,7 @@ def _ooc_guard_speedup(rounds=2):
             "reference", "off", OOC_GUARD_CELLS, plan=OOC_GUARD_PLAN
         )
         c, _, col_counters = _run_config(
-            "compiled", "pass", OOC_GUARD_CELLS, plan=OOC_GUARD_PLAN
+            "compiled", "on", OOC_GUARD_CELLS, plan=OOC_GUARD_PLAN
         )
         _assert_identical(OOC_GUARD_CELLS, ref_counters, col_counters, "ooc guard")
         ref_s = r if ref_s is None else min(ref_s, r)
@@ -413,30 +411,12 @@ def _service_throughput(cache_dir, requests=SERVICE_REQUESTS):
     return baseline_s, service_s, dict(service.counters)
 
 
-@contextmanager
-def _memo_mode(mode):
-    """Temporarily pin ``REPRO_MEMO`` (None restores the ambient default)."""
-    saved = os.environ.get("REPRO_MEMO")
-    try:
-        if mode is None:
-            os.environ.pop("REPRO_MEMO", None)
-        else:
-            os.environ["REPRO_MEMO"] = mode
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_MEMO", None)
-        else:
-            os.environ["REPRO_MEMO"] = saved
-
-
-def _run_config(engine, memo, cells, iters=1, plan=None):
+def _run_config(engine, steady, cells, iters=1, plan=None):
     """Simulate every cell with one configuration; return timing + counters."""
-    with _memo_mode(memo):
-        runner = ExperimentRunner(LX2(), cache_dir=None, engine=engine)
-        start = time.perf_counter()
-        results = {cell: runner.measure(*cell, plan=plan, iters=iters) for cell in cells}
-        seconds = time.perf_counter() - start
+    runner = ExperimentRunner(LX2(), cache_dir=None, engine=engine, steady=steady)
+    start = time.perf_counter()
+    results = {cell: runner.measure(*cell, plan=plan, iters=iters) for cell in cells}
+    seconds = time.perf_counter() - start
     counters = {cell: m.counters.to_dict() for cell, m in results.items()}
     instructions = sum(m.counters.instructions for m in results.values())
     return seconds, instructions, counters
@@ -450,15 +430,15 @@ def _assert_identical(cells, baseline, other, label):
 def test_simspeed_workloads(benchmark, tmp_path):
     cells = [(m, name, SHAPE) for name in SUITE_2D for m in METHODS]
 
-    # -- in-cache, iters=16: reference and pre-memoization compiled --------
+    # -- in-cache, iters=16: reference and compiled with every pass walked --
     ref_s, ref_ins, ref_counters = _run_config(
         "reference", "off", cells, iters=MEMO_ITERS
     )
     off_s, off_ins, off_counters = _run_config("compiled", "off", cells, iters=MEMO_ITERS)
 
-    # -- in-cache, iters=16: compiled + pass memo (the benchmarked engine) --
+    # -- in-cache, iters=16: compiled + pass jump (the benchmarked engine) --
     def compiled_memo():
-        return _run_config("compiled", "pass", cells, iters=MEMO_ITERS)
+        return _run_config("compiled", "on", cells, iters=MEMO_ITERS)
 
     memo_s, memo_ins, memo_counters = benchmark.pedantic(
         compiled_memo, rounds=1, iterations=1, warmup_rounds=0
@@ -467,12 +447,12 @@ def test_simspeed_workloads(benchmark, tmp_path):
     # Bit-identity: same instructions simulated, same counters everywhere.
     assert memo_ins == ref_ins == off_ins
     _assert_identical(cells, ref_counters, off_counters, "compiled/off vs reference")
-    _assert_identical(cells, ref_counters, memo_counters, "compiled/pass vs reference")
+    _assert_identical(cells, ref_counters, memo_counters, "compiled/on vs reference")
 
     # -- out-of-cache, band-sampled: reference vs columnar replay ----------
     ooc_cells = [(m, OOC_STENCIL, OOC_SHAPE) for m in OOC_METHODS]
     ooc_ref_s, ooc_ref_ins, ooc_ref_counters = _run_config("reference", "off", ooc_cells)
-    ooc_col_s, ooc_col_ins, ooc_col_counters = _run_config("compiled", "pass", ooc_cells)
+    ooc_col_s, ooc_col_ins, ooc_col_counters = _run_config("compiled", "on", ooc_cells)
     assert ooc_col_ins == ooc_ref_ins
     _assert_identical(ooc_cells, ooc_ref_counters, ooc_col_counters, "out-of-cache columnar")
 
@@ -503,12 +483,12 @@ def test_simspeed_workloads(benchmark, tmp_path):
             "sim ins": f"{ref_ins:,}",
             "ins/s": f"{ref_ins / ref_s:,.0f}",
         },
-        "compiled (memo off)": {
+        "compiled (steady off)": {
             "wall s": f"{off_s:.2f}",
             "sim ins": f"{off_ins:,}",
             "ins/s": f"{off_ins / off_s:,.0f}",
         },
-        "compiled (pass memo)": {
+        "compiled (pass jump)": {
             "wall s": f"{memo_s:.2f}",
             "sim ins": f"{memo_ins:,}",
             "ins/s": f"{memo_ins / memo_s:,.0f}",
@@ -519,9 +499,9 @@ def test_simspeed_workloads(benchmark, tmp_path):
         format_metric_table(
             f"Simulator throughput (fig12 in-cache workload, iters={MEMO_ITERS})", rows
         )
-        + f"\npass-memo vs memo-off wall-clock speedup: {speedup_vs_off:.2f}x "
+        + f"\npass-jump vs steady-off wall-clock speedup: {speedup_vs_off:.2f}x "
         f"(target >= {SPEEDUP_TARGET_VS_COMPILED:.0f}x)"
-        + f"\npass-memo vs reference wall-clock speedup: {speedup_vs_ref:.2f}x "
+        + f"\npass-jump vs reference wall-clock speedup: {speedup_vs_ref:.2f}x "
         f"(target >= {SPEEDUP_TARGET_VS_REFERENCE:.0f}x)"
         + f"\nout-of-cache sampled workload: columnar {ooc_col_s:.2f}s "
         f"vs reference {ooc_ref_s:.2f}s "
@@ -682,12 +662,12 @@ def test_smoke_simspeed_engines_agree():
 
 
 def test_smoke_simspeed_memo_modes_agree():
-    """Both REPRO_MEMO modes produce bit-identical iterated counters."""
+    """Steady off and on (the pass jump) produce bit-identical iterated counters."""
     cell = ("hstencil", "star2d5p", (64, 64))
     counters = {}
-    for memo in ("off", "pass"):
-        seconds, instructions, by_cell = _run_config("compiled", memo, [cell], iters=4)
-        counters[memo] = by_cell[cell]
+    for steady in ("off", "on"):
+        seconds, instructions, by_cell = _run_config("compiled", steady, [cell], iters=4)
+        counters[steady] = by_cell[cell]
     baseline = counters["off"]
     assert all(c == baseline for c in counters.values())
 
@@ -695,8 +675,8 @@ def test_smoke_simspeed_memo_modes_agree():
 def test_smoke_simspeed_wallclock_guard():
     """CI wall-clock regression guard (>25% degradation fails).
 
-    Re-measures the small guard workload and compares its memo-off /
-    pass-memo speedup ratio against the one the committed
+    Re-measures the small guard workload and compares its steady-off /
+    steady-on speedup ratio against the one the committed
     ``BENCH_simspeed.json`` records.  The ratio is taken between two runs
     in the same process on the same machine, so it transfers across
     hardware; raw seconds would not.
@@ -712,7 +692,7 @@ def test_smoke_simspeed_wallclock_guard():
     measured = _guard_speedup()
     floor = recorded["speedup"] * (1.0 - recorded.get("slack", GUARD_SLACK))
     assert measured >= floor, (
-        f"pass-memo wall-clock speedup regressed: measured {measured:.2f}x, "
+        f"pass-jump wall-clock speedup regressed: measured {measured:.2f}x, "
         f"recorded {recorded['speedup']:.2f}x, floor {floor:.2f}x"
     )
 

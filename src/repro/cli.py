@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--steady",
             choices=["on", "off"],
             default=None,
-            help="band-periodic steady-state elision on full runs "
+            help="steady-state elision on full runs, at band and pass boundaries "
             "(default: REPRO_STEADY env var, then on; bit-identical either way)",
         )
         p.add_argument(
@@ -623,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--steady", choices=["on", "off"], default=None,
-        help="band-periodic steady-state elision on full runs "
+        help="steady-state elision on full runs, at band and pass boundaries "
         "(default: REPRO_STEADY env var, then on)",
     )
     p.add_argument(

@@ -25,7 +25,6 @@ Statistics follow the paper's ``perf``-based methodology:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -91,8 +90,7 @@ class CacheLevel:
     are all O(1) dict operations, and decisions are identical to a textbook
     LRU list.  Ticks therefore ascend along each set; they are kept because
     equal dicts with unique ascending ticks are equal *in order* too (the
-    columnar probe compares sets with ``==``) and because the signature
-    digest memo keys on the tick.
+    columnar probe compares sets with ``==``).
     """
 
     def __init__(self, geometry: CacheGeometry, name: str) -> None:
@@ -105,8 +103,6 @@ class CacheLevel:
         self._tick = 0
         self._dirty: set = set()
         self.stats = CacheStats()
-        #: Memoized ``(validity key, digest)`` for :meth:`signature_digest`.
-        self._sig_memo: Optional[tuple] = None
 
     def _set_index(self, line: int) -> int:
         return line % self.num_sets
@@ -154,39 +150,6 @@ class CacheLevel:
         """Non-destructive membership check (no LRU update)."""
         return line in self._sets[line % self.num_sets]
 
-    def state_signature(self) -> tuple:
-        """Canonical replacement-relevant state (tags, LRU order, dirty bits).
-
-        Absolute tick values are *not* part of the signature: replacement
-        only ever evicts a set's oldest line, so the per-set LRU order, which
-        is each dict's key order, captures everything a future access
-        sequence can observe.  Two cache levels with equal signatures behave
-        identically from here on.
-        """
-        sets = tuple(tuple(ways) for ways in self._sets)
-        # Sorted tuple, not a set: signatures are also digested via repr,
-        # which must not depend on hash-table insertion history.
-        return sets, tuple(sorted(self._dirty))
-
-    def signature_digest(self) -> str:
-        """Digest of :meth:`state_signature`, memoized on a mutation key.
-
-        Every state mutation either bumps ``_tick`` (lookups, installs,
-        evictions, flushes, jump-time relocation) or grows ``_dirty``
-        (``mark_dirty`` and the inlined dirty-add fast paths — removal only
-        ever happens on eviction/flush, which bump the tick), so
-        ``(_tick, len(_dirty))`` is a sound validity key: an unchanged key
-        means an unchanged signature, and repeated digests of an unchanged
-        level skip the full per-set serialization.
-        """
-        key = (self._tick, len(self._dirty))
-        memo = self._sig_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        digest = hashlib.sha256(repr(self.state_signature()).encode()).hexdigest()
-        self._sig_memo = (key, digest)
-        return digest
-
     def clone(self) -> "CacheLevel":
         """Independent copy of all replacement state and statistics.
 
@@ -202,7 +165,6 @@ class CacheLevel:
         out._tick = self._tick
         out._dirty = set(self._dirty)
         out.stats = self.stats.copy()
-        out._sig_memo = self._sig_memo
         return out
 
     def resident_lines(self) -> int:
@@ -215,7 +177,6 @@ class CacheLevel:
         for ways in self._sets:
             ways.clear()
         self._dirty.clear()
-        self._tick += 1  # state changed: invalidate the signature-digest memo
         return dirty
 
 

@@ -1,7 +1,7 @@
 """Columnar timing replay: the compiled engine's only band runner.
 
 Out-of-cache grids are where the simulator spends its time: cache state
-never recurs, so the pass-level memoization never fires and every
+never recurs, so the pass-boundary jump never fires and every
 instruction of every sampled band takes a scalar Python trip through the
 scoreboard, the cache hierarchy and the prefetcher.  This
 module reorganizes that walk the same way the vectorization literature
@@ -29,7 +29,7 @@ reorganizes stencil loops — hoist the regular part out and batch it:
   state) and the level vector.  In the steady state of a band the same
   context recurs block after block, so phase two collapses to a dictionary
   hit that applies the recorded relative outputs — the same exact-key
-  discipline as the pass-level fixed point, needing no verification.
+  discipline as the pass-boundary jump, needing no verification.
 
 * **Probe-verify / demote.**  Although both phases are constructed to be
   bit-identical to the scalar template walk, the replay still follows the
@@ -51,7 +51,7 @@ probe time per 128² cell (LX2 hstencil box2d25p 0.038 → 0.113 s of a
 
 This replay serves every band the compiled engine walks: the
 band-sampled path *and* full simulations' passes (the in-cache first
-pass that the pass-level fixed point cannot skip).
+pass that the pass-boundary jump cannot skip).
 :class:`~repro.machine.timing.TimingEngine` drives one
 :class:`ColumnarReplayer` per run, but all runs of one engine share a
 :class:`ColumnarShare`: memory plans and the scoreboard memo are
@@ -574,7 +574,7 @@ class ColumnarReplayer:
         ticks) and both sides then process the same block, a correct replay
         leaves *identical* absolute state — so this compares raw structures
         directly, which is both stricter and much cheaper than building the
-        normalized ``state_signature`` tuples.  Cache sets compare with dict
+        normalized ``rebased_signature`` tuples.  Cache sets compare with dict
         ``==``, which ignores key order; that is still order-exact because
         every set keeps its keys in ascending-tick (LRU) order and ticks are
         unique, so equal line->tick maps have equal orders.  Stream-table

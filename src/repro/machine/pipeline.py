@@ -407,11 +407,12 @@ class PipelineModel:
         out.sw_prefetches = self.sw_prefetches
         return out
 
-    def state_signature(self) -> tuple:
-        """Canonical behavioural state of the whole machine model.
+    def _core_signature(self) -> tuple:
+        """Frontier-relative pipeline core state (no cache/prefetcher parts).
 
-        Everything a future instruction sequence can observe, normalized so
-        that states reached at different absolute cycles compare equal:
+        The core part of :func:`repro.machine.steady.rebased_signature`,
+        normalized so that states reached at different absolute cycles
+        compare equal:
 
         * scoreboard entries and port frontiers relative to the in-order
           frontier (values at or below it are dead — they can never raise a
@@ -419,29 +420,7 @@ class PipelineModel:
         * per-class port pipes as a sorted multiset (pipes within a class
           are interchangeable: the argmin pipe choice always picks the same
           *value* under permutation and preserves the multiset);
-        * issue-width bookkeeping and the makespan overhang;
-        * cache tags + LRU order + dirty bits, and the prefetcher stream
-          table (see their ``state_signature`` methods).
-
-        Counters are deliberately excluded: they never feed back into
-        behaviour.  Equal signatures therefore guarantee that identical
-        input traces produce identical counter *deltas* from here on — the
-        foundation of the pass-level memoization in
-        :class:`~repro.machine.timing.TimingEngine`.
-        """
-        h = self.hierarchy
-        return (
-            self._core_signature(),
-            h.l1.state_signature(),
-            h.l2.state_signature(),
-            self.prefetcher.state_signature(),
-        )
-
-    def _core_signature(self) -> tuple:
-        """Frontier-relative pipeline core state (no cache/prefetcher parts).
-
-        Shared by :meth:`state_signature`, :meth:`state_digest` and the
-        band-rebased signatures of :mod:`repro.machine.steady`.
+        * issue-width bookkeeping and the makespan overhang.
         """
         f = self._frontier
         ports = tuple(
@@ -459,24 +438,6 @@ class PipelineModel:
             self._cycle - f,
             self._issued_this_cycle,
             max(self.makespan - f, 0),
-        )
-
-    def state_digest(self) -> tuple:
-        """Compact equivalent of :meth:`state_signature` for equality checks.
-
-        The pipeline core stays structural (it is small), while the cache
-        levels and the stream table collapse to memoized digests — repeated
-        boundary checks against unchanged caches then skip the full per-set
-        serialization (see ``CacheLevel.signature_digest``).  Two states
-        compare equal iff their full signatures do (modulo hash collisions,
-        the same assumption every digest in the artifact layer makes).
-        """
-        h = self.hierarchy
-        return (
-            self._core_signature(),
-            h.l1.signature_digest(),
-            h.l2.signature_digest(),
-            self.prefetcher.signature_digest(),
         )
 
     def _miss_penalty(self, level: int) -> int:

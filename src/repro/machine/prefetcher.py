@@ -27,7 +27,6 @@ such hardware features" while row-streaming vector kernels stay covered.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -67,8 +66,6 @@ class StreamPrefetcher:
         self.prefetches_issued = 0
         self.streams_confirmed = 0
         self.streams_allocated = 0
-        #: Memoized ``(signature, digest)`` for :meth:`signature_digest`.
-        self._sig_memo = None
 
     def observe(self, word_addr: int, nwords: int, hit: bool = False) -> None:
         """Train on a demand access (loads and stores both train).
@@ -141,39 +138,6 @@ class StreamPrefetcher:
 
     def active_streams(self) -> int:
         return len(self._streams)
-
-    def state_signature(self) -> tuple:
-        """Canonical stream-table state: (tail line, advances) in LRU order.
-
-        Table order is part of the signature because eviction pops the
-        least-recently-used entry.  Advance counts are recorded saturated at
-        ``confirm_advances``, which is exact: the model only ever increments
-        ``advances`` and then tests it with ``== confirm_advances`` (count a
-        confirmation) and ``>= confirm_advances`` (issue prefetches).  A count
-        already at or past ``confirm_advances`` fails the first test and
-        passes the second after every increment, so any two such counts
-        drive identical prefetches, fills and counters forever after.  Counts
-        below ``confirm_advances`` stay distinct.  The live table keeps the
-        exact count; only the signature saturates.
-        """
-        c = self.confirm_advances
-        return tuple((line, min(s.advances, c)) for line, s in self._streams.items())
-
-    def signature_digest(self) -> str:
-        """Digest of :meth:`state_signature`, memoized on the signature.
-
-        The stream table is tiny (at most ``num_streams`` entries), so the
-        signature tuple itself is cheap to rebuild and doubles as its own
-        validity key — hot paths mutate ``_streams`` through local aliases,
-        so no mutation counter could be kept coherent here.
-        """
-        sig = self.state_signature()
-        memo = self._sig_memo
-        if memo is not None and memo[0] == sig:
-            return memo[1]
-        digest = hashlib.sha256(repr(sig).encode()).hexdigest()
-        self._sig_memo = (sig, digest)
-        return digest
 
     def reset_stats(self) -> None:
         self.prefetches_issued = 0

@@ -5,9 +5,11 @@ periodic once the caches reach capacity streaming: every band touches the
 same line pattern shifted by one fixed stride, so the cache tags, the
 prefetcher stream table and the pipeline scoreboard recur *modulo a uniform
 address shift*.  This module detects that recurrence, verifies one full
-period live, and then applies the remaining bands arithmetically — the same
-fixed-point trick the pass-level memoization plays across measured passes
-(PR 3), pushed down to band granularity within a single pass.
+period live, and then applies the remaining bands arithmetically.  The
+boundaries between the measured passes of an iterated run use the same
+signature, counter delta and jump with a zero shift (see
+``TimingEngine._run_full``): there a recurring state needs no certificate
+or verify window, because an unshifted match of the whole state is exact.
 
 Soundness rests on three pillars:
 
@@ -26,18 +28,17 @@ Soundness rests on three pillars:
   signature is compared under a set *rotation* instead, which is a true
   automorphism of LRU behaviour as long as no static line lives in L2.
 
-* **Rebased signatures** (:func:`rebased_signature`): the
-  ``state_signature()`` structure with every moving cache tag, dirty bit
-  and stream-table entry translated back by ``k * d_lines`` at boundary
-  ``k``, L2 sets read off in rotated order, and static lines kept fixed
-  (tagged so a static tag can never collide with a translated moving one).
-  Stream advance counts saturate at ``confirm_advances`` exactly as in
-  ``StreamPrefetcher.state_signature``: past confirmation every count
-  behaves the same, so two boundaries that differ only in how long their
-  confirmed streams have run are the same state.  Without that, a stream
-  that stays resident across bands never lets the state recur.  The
-  signature is ``None`` — boundary ineligible — while any static line
-  sits in L2, because the rotation argument needs an all-moving L2.
+* **Rebased signatures** (:func:`rebased_signature`): the machine state
+  with every moving cache tag, dirty bit and stream-table entry translated
+  back by ``k * d_lines`` at boundary ``k``, L2 sets read off in rotated
+  order, and static lines kept fixed (tagged so a static tag can never
+  collide with a translated moving one).  Stream advance counts saturate
+  at ``confirm_advances``: past confirmation every count behaves the same,
+  so two boundaries that differ only in how long their confirmed streams
+  have run are the same state.  Without that, a stream that stays
+  resident across bands never lets the state recur.  The signature is
+  ``None`` — boundary ineligible — while any static line sits in L2,
+  because the rotation argument needs an all-moving L2.
 
   A signature is only taken where a recurrence could still engage.  Two
   exact facts bound detection (``last = B - edge``):
@@ -82,8 +83,8 @@ Soundness rests on three pillars:
   approximation.
 
 The engaged jump multiplies the verified per-period counter delta onto the
-raw pipeline/cache/prefetcher counters (exact integer arithmetic, the
-``_add_scaled`` contract), shifts every moving line by ``m * p * d_lines``
+raw pipeline/cache/prefetcher counters (exact integer arithmetic: every
+counter is an integer), shifts every moving line by ``m * p * d_lines``
 and every scoreboard/port timestamp by the period's cycle delta.  Verified
 ``(period, delta, digest)`` records persist in the artifact store so warm
 processes skip detection and go straight to the verification window.
@@ -133,6 +134,9 @@ class SteadyStats:
     engaged: int = 0
     demoted: int = 0
     elided_bands: int = 0
+    #: Measured passes applied by the pass-boundary jump (pass boundaries
+    #: only; every other field counts band boundaries).
+    elided_passes: int = 0
     record_mode: bool = False
     disabled: str = ""
 
@@ -145,6 +149,7 @@ class SteadyStats:
             "engaged": self.engaged,
             "demoted": self.demoted,
             "elided_bands": self.elided_bands,
+            "elided_passes": self.elided_passes,
             "record_mode": self.record_mode,
             "disabled": self.disabled,
         }
@@ -266,57 +271,76 @@ def rebased_signature(
 ) -> Optional[tuple]:
     """Band-relative machine state at a boundary ``off = k * d_lines`` lines in.
 
+    Holds everything a future instruction sequence can observe, so equal
+    signatures guarantee equal counter deltas for equal traces from here
+    on: the frontier-relative pipeline core, cache tags in LRU order with
+    their dirty bits, and the stream table.  Counters never feed back into
+    behaviour and are left out.  Pass boundaries take it with ``off = 0``
+    and no static lines.
+
     Returns ``None`` while any static line is resident in L2 (the L2
     rotation argument requires an all-moving L2).  Static tags are kept
     fixed and tagged ``("s", line)`` so they can never collide with a
     translated moving tag.  Cache sets are read in key order, which is
-    their LRU order (see :class:`~repro.machine.cache.CacheLevel`).  Dirty
-    sets are serialized as *sorted tuples*: signatures are compared by
-    digest-of-repr, which must not depend on hash-table insertion history.
+    their LRU order (see :class:`~repro.machine.cache.CacheLevel`); absolute
+    ticks are left out, because eviction only ever takes a set's oldest
+    line.  Dirty sets are serialized as *sorted tuples*: band signatures
+    are compared by digest-of-repr, which must not depend on hash-table
+    insertion history.
+
+    Stream-table entries keep their LRU order (eviction pops the oldest),
+    and advance counts are recorded saturated at ``confirm_advances``.
+    That is exact: the model only ever increments ``advances`` and then
+    tests it with ``== confirm_advances`` (count a confirmation) and
+    ``>= confirm_advances`` (issue prefetches).  A count already at or past
+    ``confirm_advances`` fails the first test and passes the second after
+    every increment, so any two such counts drive identical prefetches,
+    fills and counters forever after.  Counts below ``confirm_advances``
+    stay distinct.  The live table keeps the exact count.
     """
     h = pipe.hierarchy
-    l2 = h.l2
-    n2 = l2.num_sets
-    l2_sets = l2._sets
-    # Probe the (few) static lines first: serializing the sets below is the
-    # bulk of the cost, and prologue boundaries still hold one in L2.
-    for t in static_lines:
-        if t in l2_sets[t % n2]:
-            return None
     l1 = h.l1
-    l1_sig = tuple(
-        tuple(
-            (("s", t) if t in static_lines else t - off)
-            for t in ways
+    l2 = h.l2
+    if not off and not static_lines:
+        # Identity translation: the same value as below with nothing to
+        # translate or tag, at the cost of one copy per set.
+        l1_part = (tuple(map(tuple, l1._sets)), tuple(sorted(l1._dirty)))
+        l2_part = (tuple(map(tuple, l2._sets)), tuple(sorted(l2._dirty)))
+    else:
+        n2 = l2.num_sets
+        l2_sets = l2._sets
+        # Probe the (few) static lines first: serializing the sets below is
+        # the bulk of the cost, and prologue boundaries still hold one in L2.
+        for t in static_lines:
+            if t in l2_sets[t % n2]:
+                return None
+        l1_sig = tuple(
+            tuple(
+                (("s", t) if t in static_lines else t - off)
+                for t in ways
+            )
+            for ways in l1._sets
         )
-        for ways in l1._sets
-    )
-    l1_dirty = tuple(
-        sorted(
-            ((("s", t) if t in static_lines else t - off) for t in l1._dirty),
-            key=lambda t: (1, t[1]) if type(t) is tuple else (0, t),
+        l1_dirty = tuple(
+            sorted(
+                ((("s", t) if t in static_lines else t - off) for t in l1._dirty),
+                key=lambda t: (1, t[1]) if type(t) is tuple else (0, t),
+            )
         )
-    )
-    rot = off % n2
-    l2_sig = tuple(
-        tuple(t - off for t in ways)
-        for ways in l2_sets[rot:] + l2_sets[:rot]
-    )
-    l2_dirty = tuple(sorted(t - off for t in l2._dirty))
-    # Advance counts saturate at confirmation, as in
-    # ``StreamPrefetcher.state_signature`` (see its docstring for why).
+        rot = off % n2
+        l2_sig = tuple(
+            tuple(t - off for t in ways)
+            for ways in l2_sets[rot:] + l2_sets[:rot]
+        )
+        l1_part = (l1_sig, l1_dirty)
+        l2_part = (l2_sig, tuple(sorted(t - off for t in l2._dirty)))
     pf = pipe.prefetcher
     c = pf.confirm_advances
     pf_sig = tuple(
         ((("s", line) if line in static_lines else line - off), min(s.advances, c))
         for line, s in pf._streams.items()
     )
-    return (
-        pipe._core_signature(),
-        (l1_sig, l1_dirty),
-        (l2_sig, l2_dirty),
-        pf_sig,
-    )
+    return (pipe._core_signature(), l1_part, l2_part, pf_sig)
 
 
 # -- raw counter algebra ------------------------------------------------------
@@ -383,12 +407,13 @@ def apply_jump(
 
     ``shift`` is the total line translation (``m * period * d_lines``; the
     caller guarantees it is a multiple of the L1 set count and the page
-    size).  Counters gain ``m * delta`` exactly; every moving cache tag,
-    dirty bit and stream-table entry translates by ``shift`` (advance counts
-    are kept: the signatures pinned them only up to confirmation, past
-    which every count behaves the same); the scoreboard,
-    port frontiers, cycle bookkeeping and makespan translate by the period's
-    cycle delta.  Scoreboard entries already at or below the frontier are
+    size).  A pass-boundary jump passes ``shift = 0`` and one measured pass
+    as the period, so every line stays where it is.  Counters gain
+    ``m * delta`` exactly; every moving cache tag, dirty bit and
+    stream-table entry translates by ``shift`` (advance counts are kept:
+    the signatures pinned them only up to confirmation, past which every
+    count behaves the same); the scoreboard, port frontiers, cycle
+    bookkeeping and makespan translate by the period's cycle delta.  Scoreboard entries already at or below the frontier are
     dead (they can never raise a future issue cycle), so translating them
     uniformly preserves every future issue decision bit-exactly.
     """
@@ -434,13 +459,14 @@ def apply_jump(
         for i in range(len(pipes)):
             pipes[i] += T
 
+    if not shift:
+        return
     l1 = h.l1
     l1._sets = [
         {(t if t in static_lines else t + shift): tick for t, tick in ways.items()}
         for ways in l1._sets
     ]
     l1._dirty = {(t if t in static_lines else t + shift) for t in l1._dirty}
-    l1._tick += 1  # invalidate the signature-digest memo
     l2 = h.l2
     n2 = l2.num_sets
     new_sets: List[Dict[int, int]] = [dict() for _ in range(n2)]
@@ -450,7 +476,6 @@ def apply_jump(
             new_sets[t2 % n2][t2] = tick
     l2._sets = new_sets
     l2._dirty = {t + shift for t in l2._dirty}
-    l2._tick += 1
     streams: "OrderedDict[int, _Stream]" = OrderedDict()
     for line, s in pf._streams.items():
         line2 = line if line in static_lines else line + shift

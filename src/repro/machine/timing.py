@@ -53,64 +53,20 @@ def default_engine() -> str:
     return os.environ.get("REPRO_ENGINE", "compiled")
 
 
-#: Band-periodic steady-state elision on *full* (unsampled) runs: ``on``
-#: detects recurring machine state at band boundaries, verifies one extra
-#: period live, and applies the remaining interior bands arithmetically —
-#: bit-identical counters, any mismatch demotes to the plain band walk
-#: (:mod:`repro.machine.steady`).  Compiled engine only.
+#: Steady-state elision on *full* (unsampled) runs, compiled engine only.
+#: ``on`` detects recurring machine state at two kinds of boundary and
+#: applies what remains arithmetically, with bit-identical counters
+#: (:mod:`repro.machine.steady`): at band boundaries it verifies one extra
+#: period live before jumping over the remaining interior bands (any
+#: mismatch demotes to the plain band walk), and at the boundaries between
+#: the measured passes of an iterated run a recurring state jumps over the
+#: remaining passes.  ``off`` walks every band of every pass.
 STEADY_MODES = ("on", "off")
 
 
 def default_steady() -> str:
     """Steady-elision mode when none is requested (``REPRO_STEADY`` overrides)."""
     return os.environ.get("REPRO_STEADY", "on")
-
-
-#: Pass-level fixed-point memoization on iterated full runs: ``pass`` (the
-#: default) applies the remaining passes arithmetically once the machine
-#: state at a pass boundary recurs; ``off`` simulates every pass.
-MEMO_MODES = ("pass", "off")
-
-
-def memo_mode() -> str:
-    """Resolved ``REPRO_MEMO`` mode (see :data:`MEMO_MODES`)."""
-    mode = os.environ.get("REPRO_MEMO", "pass")
-    if mode not in MEMO_MODES:
-        raise ValueError(
-            f"unknown REPRO_MEMO mode {mode!r}; expected one of {MEMO_MODES}"
-        )
-    return mode
-
-
-def _add_scaled(base: PerfCounters, delta: PerfCounters, n: int) -> PerfCounters:
-    """``base + n * delta``, exact on every counter field.
-
-    All counters are integers (cycles is an integer-valued float), so the
-    integer multiply-add is bit-exact — this is what lets the pass-level
-    fixed-point skip reproduce a fully simulated run to the last counter.
-    """
-    out = PerfCounters()
-    out.cycles = base.cycles + delta.cycles * n
-    out.instructions = base.instructions + delta.instructions * n
-    out.instructions_by_port = {
-        k: base.instructions_by_port.get(k, 0) + delta.instructions_by_port.get(k, 0) * n
-        for k in set(base.instructions_by_port) | set(delta.instructions_by_port)
-    }
-    out.flops = base.flops + delta.flops * n
-    out.useful_flops = base.useful_flops + delta.useful_flops * n
-    out.l1_accesses = base.l1_accesses + delta.l1_accesses * n
-    out.l1_hits = base.l1_hits + delta.l1_hits * n
-    out.l1_demand_accesses = base.l1_demand_accesses + delta.l1_demand_accesses * n
-    out.l1_demand_hits = base.l1_demand_hits + delta.l1_demand_hits * n
-    out.l1_prefetch_fills = base.l1_prefetch_fills + delta.l1_prefetch_fills * n
-    out.l2_accesses = base.l2_accesses + delta.l2_accesses * n
-    out.l2_hits = base.l2_hits + delta.l2_hits * n
-    out.dram_lines_read = base.dram_lines_read + delta.dram_lines_read * n
-    out.dram_lines_written = base.dram_lines_written + delta.dram_lines_written * n
-    out.sw_prefetches = base.sw_prefetches + delta.sw_prefetches * n
-    out.hw_prefetches = base.hw_prefetches + delta.hw_prefetches * n
-    out.line_bytes = base.line_bytes
-    return out
 
 
 class TimingEngine:
@@ -298,7 +254,13 @@ class TimingEngine:
         )
 
     def _run_full(self, kernel: Kernel, nest, warm: bool, iters: int = 1) -> PerfCounters:
-        from repro.machine.steady import SteadyStats
+        from repro.machine.steady import (
+            SteadyStats,
+            apply_jump,
+            raw_counters,
+            raw_delta,
+            rebased_signature,
+        )
 
         pipe = PipelineModel(self.config)
         # bands() lists blocks grouped by outer index in iteration order, so
@@ -334,45 +296,32 @@ class TimingEngine:
         else:
             before = None
 
-        # Pass-level fixed-point memoization (compiled engine only): the
-        # machine model is a deterministic function of its behavioural
-        # state, and each measured pass replays the exact same trace, so
-        # the moment the state signature at a pass boundary *recurs* the
-        # remaining passes are provably identical — their counter deltas
-        # are applied arithmetically instead of being re-simulated.  The
-        # reference engine always walks every pass.
-        #
-        # The signature keeps exactly the state that can change future
-        # behaviour: cache tags, LRU order and dirty bits, the
-        # frontier-relative core, and the stream table with advance counts
-        # saturated at confirmation (every count past it behaves the same;
-        # without that, a stream that stays confirmed keeps counting up and
-        # no state ever recurs).  The fixed point can take many passes to
-        # appear while the stream table settles: 2 or 3 measured passes for
-        # the LX2 cells at 64², 3 to 22 for the M4 ones.  The digest is
-        # therefore compared after every pass; it costs milliseconds (each
-        # cache level memoizes its digest until it changes), a pass far more.
-        use_skip = memo_mode() == "pass" and iters > 1 and self.engine == "compiled"
-
-        prev_sig = pipe.state_digest() if use_skip else None
-        prev_snap = before if before is not None else pipe.snapshot()
-        counters: Optional[PerfCounters] = None
-        for done_passes in range(1, iters + 1):
+        # Pass boundaries are band boundaries with a zero address shift.
+        # The machine model is a deterministic function of its behavioural
+        # state and every measured pass replays the same trace, so once the
+        # zero-shift signature recurs from one pass boundary to the next,
+        # every remaining pass repeats the last one's counter delta exactly
+        # and is applied with the band jump.  Unlike a rebased band match,
+        # a zero-shift match of the whole state is itself the proof: no
+        # certificate, verify window or static watch.  The fixed point can
+        # take many passes while the stream table settles (2 or 3 measured
+        # passes for the LX2 cells at 64², 3 to 22 for the M4 ones), so the
+        # signature is compared after every pass but the last.
+        prev = None
+        if use_steady and iters > 1:
+            prev = (rebased_signature(pipe, frozenset(), 0), raw_counters(pipe))
+        for done in range(1, iters + 1):
             one_pass()
-            if not use_skip:
+            if prev is None or done == iters:
                 continue
-            sig = pipe.state_digest()
-            if sig == prev_sig:
-                # The pass just run mapped the state onto itself: every
-                # remaining pass repeats its delta exactly.
-                snap = pipe.snapshot()
-                delta = PipelineModel.delta(snap, prev_snap)
-                counters = _add_scaled(snap, delta, iters - done_passes)
+            sig = rebased_signature(pipe, frozenset(), 0)
+            raw = raw_counters(pipe)
+            if sig == prev[0]:
+                apply_jump(pipe, frozenset(), 0, iters - done, raw_delta(raw, prev[1]))
+                stats.elided_passes = iters - done
                 break
-            prev_sig = sig
-            prev_snap = pipe.snapshot()
-        if counters is None:
-            counters = pipe.snapshot()
+            prev = (sig, raw)
+        counters = pipe.snapshot()
         if before is not None:
             counters = PipelineModel.delta(counters, before)
         counters.points = nest.total_points() * iters

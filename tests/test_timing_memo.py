@@ -1,4 +1,4 @@
-"""Engine selection, REPRO_MEMO modes and iterated runs."""
+"""Engine selection, iterated runs and the pass-boundary jump."""
 
 import pytest
 
@@ -9,7 +9,8 @@ from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
 from repro.machine.pipeline import PipelineModel
-from repro.machine.timing import TimingEngine, default_engine, memo_mode
+from repro.machine.steady import rebased_signature
+from repro.machine.timing import TimingEngine, default_engine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
@@ -90,22 +91,6 @@ def test_run_kernel_precedence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# REPRO_MEMO mode parsing.
-# ---------------------------------------------------------------------------
-
-
-def test_memo_mode_default_and_aliases(monkeypatch):
-    monkeypatch.delenv("REPRO_MEMO", raising=False)
-    assert memo_mode() == "pass"
-    monkeypatch.setenv("REPRO_MEMO", "off")
-    assert memo_mode() == "off"
-    for raw in ("block", "full", "1", "on"):
-        monkeypatch.setenv("REPRO_MEMO", raw)
-        with pytest.raises(ValueError, match=r"\('pass', 'off'\)"):
-            memo_mode()
-
-
-# ---------------------------------------------------------------------------
 # Iterated (iters > 1) runs.
 # ---------------------------------------------------------------------------
 
@@ -122,25 +107,23 @@ def test_iters_validation():
 @pytest.mark.parametrize("stencil", ["star2d5p", "box2d9p"])
 @pytest.mark.parametrize("config", [LX2, M4], ids=["LX2", "M4"])
 @pytest.mark.parametrize("method", sorted(METHODS))
-def test_iters_bit_identical_across_engines_and_memo_modes(
-    monkeypatch, method, config, stencil
-):
-    """Reference and compiled (both memo modes) agree on iterated counters."""
+def test_iters_bit_identical_across_engines_and_memo_modes(method, config, stencil):
+    """Reference and compiled (steady off, and on with the pass-boundary
+    jump) agree on iterated counters."""
     iters = 4
     machine = config()
     results = {}
-    for engine_name, memo in [
+    for engine_name, steady in [
         ("reference", "off"),
         ("compiled", "off"),
-        ("compiled", "pass"),
+        ("compiled", "on"),
     ]:
-        monkeypatch.setenv("REPRO_MEMO", memo)
         try:
             _, kernel = _kernel(n=32, stencil=stencil, method=method, config=machine)
         except ValueError as exc:
             pytest.skip(f"{method} on {stencil}: {exc}")
-        pc = TimingEngine(machine, engine=engine_name).run(kernel, iters=iters)
-        results[(engine_name, memo)] = pc.to_dict()
+        engine = TimingEngine(machine, engine=engine_name, steady=steady)
+        results[(engine_name, steady)] = engine.run(kernel, iters=iters).to_dict()
     baseline = results[("reference", "off")]
     for key, counters in results.items():
         assert counters == baseline, key
@@ -154,51 +137,43 @@ SLOW_FIXED_POINT_ITERS = {("hstencil-prefetch", "box2d9p"): 24}
 
 @pytest.mark.parametrize("stencil", ["star2d9p", "box2d9p", "box2d25p"])
 @pytest.mark.parametrize("method", sorted(METHODS))
-def test_pass_memo_reaches_m4_in_cache_fixed_point(monkeypatch, method, stencil):
+def test_pass_memo_reaches_m4_in_cache_fixed_point(method, stencil):
     """M4 streams stay confirmed across passes and keep counting advances;
-    the pass memo must still see the recurring state, and stop early."""
+    the pass-boundary jump must still see the recurring state, and stop
+    early."""
     iters = SLOW_FIXED_POINT_ITERS.get((method, stencil), 16)
     machine = M4()
     results = {}
-    for memo in ("off", "pass"):
-        monkeypatch.setenv("REPRO_MEMO", memo)
+    for steady in ("off", "on"):
         try:
             _, kernel = _kernel(stencil=stencil, method=method, config=machine)
         except ValueError as exc:
             pytest.skip(f"{method} on {stencil}: {exc}")
-        passes = []
-        preamble = kernel.preamble
-
-        def counting_preamble():
-            passes.append(1)
-            return preamble()
-
-        kernel.preamble = counting_preamble
-        pc = TimingEngine(machine, engine="compiled").run(kernel, iters=iters)
-        results[memo] = (pc.to_dict(), len(passes) - 1)  # minus the warm pass
+        engine = TimingEngine(machine, engine="compiled", steady=steady)
+        pc = engine.run(kernel, iters=iters)
+        walked = iters - engine.steady_stats.elided_passes
+        results[steady] = (pc.to_dict(), walked)
     assert results["off"][1] == iters
-    assert results["pass"][1] < iters
-    assert results["pass"][0] == results["off"][0]
+    assert results["on"][1] < iters
+    assert results["on"][0] == results["off"][0]
 
 
-def test_iters_scales_points(monkeypatch):
-    monkeypatch.setenv("REPRO_MEMO", "off")
+def test_iters_scales_points():
     _, kernel = _kernel(n=32)
-    one = TimingEngine(LX2()).run(kernel, iters=1)
-    three = TimingEngine(LX2()).run(kernel, iters=3)
+    one = TimingEngine(LX2(), steady="off").run(kernel, iters=1)
+    three = TimingEngine(LX2(), steady="off").run(kernel, iters=3)
     assert three.points == 3 * one.points
     assert three.cycles > one.cycles
 
 
 # ---------------------------------------------------------------------------
-# Pipeline state signatures (the pass-skip foundation).
+# Zero-shift signatures (the pass-jump foundation).
 # ---------------------------------------------------------------------------
 
 
-def test_state_signature_recurs_at_pass_boundaries():
-    """After the warm pass, each further pass maps the state onto itself."""
-    config = LX2()
-    _, kernel = _kernel()
+def _warmed(config, passes=2):
+    """A reference-engine pipe after ``passes`` whole passes, and a pass runner."""
+    _, kernel = _kernel(config=config)
     pipe = PipelineModel(config)
     engine = TimingEngine(config, engine="reference")
     nest = kernel.loop_nest()
@@ -209,8 +184,32 @@ def test_state_signature_recurs_at_pass_boundaries():
         for band in nest.bands():
             run_band(band)
 
-    one_pass()  # warm
+    for _ in range(passes):
+        one_pass()
+    return pipe, one_pass
+
+
+def test_state_signature_recurs_at_pass_boundaries():
+    """After the warm pass, each further pass maps the state onto itself."""
+    pipe, one_pass = _warmed(LX2())
+    sig = rebased_signature(pipe, frozenset(), 0)
     one_pass()
-    sig = pipe.state_signature()
-    one_pass()
-    assert pipe.state_signature() == sig
+    assert rebased_signature(pipe, frozenset(), 0) == sig
+
+
+@pytest.mark.parametrize("config", [LX2, M4], ids=["LX2", "M4"])
+def test_zero_shift_branch_matches_general_path(config):
+    """The zero-shift shortcut returns the general path's value and repr.
+
+    A static line that is not resident in L2 forces the general path
+    without changing the value: it only tags the line where it appears.
+    """
+    pipe, _one_pass = _warmed(config())
+    l2 = pipe.hierarchy.l2
+    absent = 1 << 40
+    assert not l2.contains(absent)
+    fast = rebased_signature(pipe, frozenset(), 0)
+    general = rebased_signature(pipe, frozenset({absent}), 0)
+    assert general == fast
+    assert repr(general) == repr(fast)
+    assert fast[1][1] or fast[2][1]  # dirty lines are compared too
