@@ -29,9 +29,8 @@ def _collect(runner):
         [(m, STENCIL, (rows, N)) for m in METHODS for rows in HEIGHTS],
         jobs=BENCH_JOBS,
     )
-    # Reuse the runner's engine: the contention model then follows the same
-    # REPRO_ENGINE selection as the slice measurements, instead of silently
-    # reverting to the default.
+    # series_from_slices only combines the measured slices with the machine
+    # config; reusing the runner's engine builds no second one.
     mc = MulticoreModel(runner.machine, timing_engine=runner.engine)
     series = {}
     points = {}

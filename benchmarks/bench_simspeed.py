@@ -266,7 +266,7 @@ def _fullgrid_exact_speedup(rounds=1):
     from repro.kernels.base import KernelOptions
     from repro.kernels.registry import make_kernel
     from repro.machine.memory import MemorySpace
-    from repro.machine.timing import TimingEngine
+    from repro.machine.timing import SimMode, TimingEngine
     from repro.stencils.grid import Grid2D
     from repro.stencils.library import benchmark as stencil_benchmark
 
@@ -281,7 +281,7 @@ def _fullgrid_exact_speedup(rounds=1):
         kernel = make_kernel(
             FULLGRID_METHOD, spec, src, dst, config, KernelOptions(unroll_j=2)
         )
-        engine = TimingEngine(config, engine="compiled", steady=steady)
+        engine = TimingEngine(config, SimMode(engine="compiled", steady=steady))
         start = time.perf_counter()
         counters = engine.run(kernel, sample=False, warm=False)
         return time.perf_counter() - start, counters.to_dict(), engine.steady_stats

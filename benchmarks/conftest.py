@@ -17,12 +17,11 @@ Engine knobs (environment variables):
     to make repeated benchmark runs skip simulation entirely.
 ``REPRO_BENCH_JOBS``
     Worker processes for the migrated sweeps (default 1 = serial).
-``REPRO_ENGINE``
-    Replay engine ("compiled"/"reference") for every benchmark runner —
-    including the multicore scaling model of ``bench_fig16_multicore.py`` and the M4
-    out-of-cache sweep of ``bench_fig18_m4_outofcache.py``, which reuse the
-    session runners' engines.  The artifacts record the selection under
-    ``modes``.
+``REPRO_ENGINE`` / ``REPRO_STEADY``
+    Replay engine ("compiled"/"reference") and steady-state elision
+    ("on"/"off"), resolved once by each session runner into its
+    ``SimMode``.  Every bench that measures through those runners follows
+    it, and the artifacts record the resolved mode under ``modes``.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Engine configuration shared by every migrated benchmark.
 BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-#: Explicit engine selection for the session runners.  ``None`` defers to
-#: the engine-level default, which consults the same variable — passing it
-#: here keeps the whole suite's selection in one visible place.
-BENCH_ENGINE = os.environ.get("REPRO_ENGINE") or None
 
 
 def bench_artifact(name: str, runner=None, extra: Optional[Mapping] = None) -> pathlib.Path:
@@ -78,12 +73,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def lx2_runner() -> ExperimentRunner:
-    return ExperimentRunner(LX2(), cache_dir=BENCH_CACHE_DIR, engine=BENCH_ENGINE)
+    return ExperimentRunner(LX2(), cache_dir=BENCH_CACHE_DIR)
 
 
 @pytest.fixture(scope="session")
 def m4_runner() -> ExperimentRunner:
-    return ExperimentRunner(M4(), cache_dir=BENCH_CACHE_DIR, engine=BENCH_ENGINE)
+    return ExperimentRunner(M4(), cache_dir=BENCH_CACHE_DIR)
 
 
 def run_once(benchmark, fn):

@@ -43,10 +43,12 @@ from repro.machine.artifacts import (  # noqa: F401  (re-exports)
 )
 from repro.machine.config import MachineConfig
 from repro.machine.perf import PerfCounters
-from repro.machine.timing import SamplePlan
+from repro.machine.timing import SamplePlan, SimMode
 
 #: Bump to invalidate every cache entry regardless of source hashing.
 SCHEMA_VERSION = 1
+
+_DEFAULT_MODE = SimMode().describe()
 
 
 def cache_key(
@@ -58,22 +60,20 @@ def cache_key(
     plan: Optional[SamplePlan],
     warm: bool,
     iters: int = 1,
-    engine: Optional[str] = None,
-    sample: Optional[bool] = None,
-    steady: Optional[str] = None,
+    mode: Optional[SimMode] = None,
 ) -> Tuple[str, Dict]:
     """Digest + canonical inputs for one ``(machine, cell)`` measurement.
 
-    ``engine`` never participates in the digest (the compiled and
-    reference engines are bit-identical, so either may serve the other's
-    cells — ``tests/test_smoke_simspeed.py`` pins this) but it is recorded
+    ``mode`` (default :class:`~repro.machine.timing.SimMode`) contributes
+    the fields of :meth:`~repro.machine.timing.SimMode.describe` that differ
+    from the default mode: ``sample`` when forced, ``steady`` when off.
+    Keying only non-default values keeps entries written before those
+    knobs existed valid, and a steady-elision divergence can never be
+    masked by a cache hit from the other mode.  ``engine`` never
+    participates in the digest (the compiled and reference engines are
+    bit-identical, so either may serve the other's cells) but is recorded
     in the returned inputs so stored entries say which engine produced
-    them.  ``sample`` (an explicit sampling override;
-    ``None`` is the automatic size-based choice) and ``steady`` (the
-    band-periodic elision mode, default ``"on"``) are keyed only when
-    non-default, so entries written before those knobs existed stay valid —
-    and a steady-elision divergence could never be masked by a cache hit
-    from the other mode.
+    them.
     """
     inputs = {
         "schema": SCHEMA_VERSION,
@@ -93,16 +93,13 @@ def cache_key(
     if iters != 1:
         # Keyed only when non-default so existing cache entries stay valid.
         inputs["iters"] = iters
-    if sample is not None:
-        inputs["sample"] = bool(sample)
-    if steady is not None and steady != "on":
-        inputs["steady"] = steady
+    fields = (mode or SimMode()).describe()
+    engine = fields.pop("engine")
+    inputs.update((k, v) for k, v in fields.items() if v != _DEFAULT_MODE[k])
     blob = json.dumps(inputs, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()
-    if engine is not None:
-        # Audit-only: recorded in the stored entry, excluded from the digest.
-        inputs = dict(inputs, engine=engine)
-    return digest, inputs
+    # Audit-only: recorded in the stored entry, excluded from the digest.
+    return digest, dict(inputs, engine=engine)
 
 
 class MeasurementCache:

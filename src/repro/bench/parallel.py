@@ -26,6 +26,7 @@ and returns the cells that finished, instead of leaking workers.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import time
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.kernels.base import KernelOptions
 from repro.machine.config import MachineConfig
 from repro.machine.perf import PerfCounters
-from repro.machine.timing import SamplePlan
+from repro.machine.timing import SamplePlan, SimMode
 
 Cell = Tuple[str, str, Tuple[int, ...]]
 
@@ -64,29 +65,12 @@ _WORKER_RUNNER = None
 _WORKER_ARGS: Tuple[bool, Optional[SamplePlan], str] = (True, None, "measure")
 
 
-def _init_worker(
-    machine,
-    options,
-    cache_dir,
-    warm,
-    plan,
-    engine=None,
-    artifact_dir=None,
-    action="measure",
-    steady=None,
-    sample=None,
-) -> None:
+def _init_worker(machine, options, cache_dir, warm, plan, mode, action) -> None:
     global _WORKER_RUNNER, _WORKER_ARGS
     from repro.bench.runner import ExperimentRunner
 
     _WORKER_RUNNER = ExperimentRunner(
-        machine,
-        options,
-        cache_dir=cache_dir,
-        engine=engine,
-        steady=steady,
-        sample=sample,
-        artifact_dir=artifact_dir,
+        machine, options, cache_dir=cache_dir, **dataclasses.asdict(mode)
     )
     _WORKER_ARGS = (warm, plan, action)
 
@@ -145,11 +129,8 @@ def _run_cells_pooled(
     plan,
     workers: int,
     tick,
-    engine,
-    artifact_dir,
+    mode,
     action,
-    steady,
-    sample,
 ) -> None:
     """Drive one batch job through a short-lived stencil service.
 
@@ -163,12 +144,7 @@ def _run_cells_pooled(
     from repro.service.engine import StencilService
 
     service = StencilService(
-        workers=workers,
-        cache_dir=cache_dir,
-        artifact_dir=artifact_dir,
-        engine=engine,
-        steady=steady,
-        sample=sample,
+        workers=workers, cache_dir=cache_dir, **dataclasses.asdict(mode)
     )
 
     async def drive() -> None:
@@ -205,10 +181,7 @@ def run_cells(
     jobs: int = 1,
     progress: bool = False,
     runner=None,
-    engine: Optional[str] = None,
-    steady: Optional[str] = None,
-    sample: Optional[bool] = None,
-    artifact_dir=None,
+    mode: Optional[SimMode] = None,
     action: str = "measure",
 ) -> List[CellResult]:
     """Measure every cell, fanning out across ``jobs`` worker processes.
@@ -217,6 +190,8 @@ def run_cells(
     which is also the reference ordering/values the parallel path must
     reproduce.  Pass ``runner`` to adopt successful results into an existing
     :class:`~repro.bench.runner.ExperimentRunner`'s in-memory cache.
+    ``mode`` (a :class:`~repro.machine.timing.SimMode`) is how every cell
+    is simulated; ``None`` resolves one from the environment.
 
     ``action="precompile"`` pre-builds the compiled-artifact store for every
     cell instead of measuring; results carry a per-cell build summary in
@@ -227,6 +202,8 @@ def run_cells(
     engine behind ``repro serve``).  ``Ctrl-C`` mid-sweep terminates the
     worker pool and returns the cells that completed.
     """
+    if mode is None:
+        mode = SimMode.resolve()
     indexed = list(enumerate(tuple(c) for c in cells))
     total = len(indexed)
     started = time.perf_counter()
@@ -248,10 +225,7 @@ def run_cells(
             # Reuse the caller's runner so its memo/disk caches serve directly.
             _WORKER_RUNNER, _WORKER_ARGS = runner, (warm, plan, action)
         else:
-            _init_worker(
-                machine, options, cache_dir, warm, plan, engine,
-                artifact_dir, action, steady, sample,
-            )
+            _init_worker(machine, options, cache_dir, warm, plan, mode, action)
         try:
             for item in indexed:
                 results.append(_run_cell(item))
@@ -269,11 +243,8 @@ def run_cells(
             plan,
             min(jobs, total),
             tick,
-            engine,
-            artifact_dir,
+            mode,
             action,
-            steady,
-            sample,
         )
         if runner is not None and action == "measure":
             for result in results:

@@ -28,7 +28,7 @@ from repro.kernels.registry import make_kernel
 from repro.machine.config import LX2, MachineConfig
 from repro.machine.memory import MemorySpace
 from repro.machine.perf import PerfCounters
-from repro.machine.timing import SamplePlan, TimingEngine
+from repro.machine.timing import SamplePlan, SimMode, TimingEngine
 from repro.stencils.grid import Grid2D, Grid3D
 from repro.stencils.library import benchmark as stencil_benchmark
 from repro.stencils.spec import StencilSpec
@@ -66,26 +66,11 @@ class ExperimentRunner:
     ) -> None:
         self.machine = machine if machine is not None else LX2()
         self.options = options or KernelOptions()
-        # ``engine`` selects the simulation engine ("compiled"/"reference").
-        # The disk-cache key deliberately does NOT include it: the engines
-        # are bit-identical, so either may serve the other's cached cells.
-        # ``steady`` selects band-periodic steady-state elision ("on"/"off")
-        # and ``sample`` forces full (False) or band-sampled (True) timing
-        # for every cell instead of the automatic size-based choice
-        # (``None``); both ARE part of the disk key when non-default, so an
-        # elision divergence could never be masked by a cache hit from the
-        # other mode.
-        # ``artifact_dir`` additionally installs the compiled-artifact
-        # store, so template fitting / program lowering load from disk
-        # instead of rebuilding.
-        self.artifact_dir = artifact_dir
-        self.sample = sample
-        self.engine = TimingEngine(
-            self.machine,
-            engine=engine,
-            steady=steady,
-            artifact_dir=artifact_dir,
-        )
+        # ``engine``, ``steady``, ``sample`` and ``artifact_dir`` are resolved
+        # once into ``self.mode`` (see :class:`SimMode`), which the engine
+        # runs, the disk-cache key digests and sweep workers inherit.
+        self.mode = SimMode.resolve(engine, steady, sample, artifact_dir)
+        self.engine = TimingEngine(self.machine, self.mode)
         self.disk_cache = MeasurementCache(cache_dir) if cache_dir else None
         self._cache: Dict[Tuple, Measurement] = {}
         #: key tuple -> "simulated" | "disk" (how the cell was first obtained).
@@ -137,17 +122,14 @@ class ExperimentRunner:
         if self.disk_cache is not None:
             disk_key, inputs = cache_key(
                 self.machine, method, stencil, tuple(shape), self.options, plan, warm,
-                iters=iters, engine=self.engine.engine,
-                sample=self.sample, steady=self.engine.steady,
+                iters=iters, mode=self.mode,
             )
             counters = self.disk_cache.load(disk_key)
 
         if counters is None:
             spec = stencil_benchmark(stencil)
             kernel = self._build(method, spec, shape)
-            counters = self.engine.run(
-                kernel, sample=self.sample, warm=warm, plan=plan, iters=iters
-            )
+            counters = self.engine.run(kernel, warm=warm, plan=plan, iters=iters)
             counters.label = f"{method}/{stencil}/{shape}"
             self._provenance[key] = "simulated"
             if self.disk_cache is not None:
@@ -215,10 +197,7 @@ class ExperimentRunner:
             jobs=jobs,
             progress=progress,
             runner=self,
-            engine=self.engine.engine,
-            steady=self.engine.steady,
-            sample=self.sample,
-            artifact_dir=self.artifact_dir,
+            mode=self.mode,
         )
 
     # ------------------------------------------------------------------
@@ -293,10 +272,7 @@ class ExperimentRunner:
             jobs=jobs,
             progress=progress,
             runner=self,
-            engine=self.engine.engine,
-            steady=self.engine.steady,
-            sample=self.sample,
-            artifact_dir=self.artifact_dir,
+            mode=self.mode,
             action="precompile",
         )
 

@@ -51,6 +51,7 @@ from repro.kernels.registry import METHODS, make_kernel
 from repro.machine.config import LX2, M4, MachineConfig
 from repro.machine.memory import MemorySpace
 from repro.machine.multicore import MulticoreModel
+from repro.machine.timing import ENGINES, STEADY_MODES
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import BENCHMARKS, benchmark
 
@@ -90,15 +91,22 @@ def _dir_arg(args, name: str) -> Optional[str]:
     return value
 
 
+def _mode_kwargs(args) -> dict:
+    """``--engine/--steady/--sample/--artifact-dir`` as edge keywords."""
+    return {
+        "engine": args.engine,
+        "steady": args.steady,
+        "sample": args.sample,
+        "artifact_dir": _dir_arg(args, "artifact_dir"),
+    }
+
+
 def _runner(args) -> ExperimentRunner:
     return ExperimentRunner(
         _machine(args.machine),
         _options(args),
         cache_dir=_dir_arg(args, "cache_dir"),
-        engine=getattr(args, "engine", None),
-        steady=getattr(args, "steady", None),
-        sample=getattr(args, "sample", None),
-        artifact_dir=_dir_arg(args, "artifact_dir"),
+        **_mode_kwargs(args),
     )
 
 
@@ -219,7 +227,6 @@ def cmd_verify(args) -> int:
         dst = Grid3D(mem, *shape, r, "B")
     kernel = make_kernel(args.method, spec, src, dst, _machine(args.machine), _options(args))
     engine = FunctionalEngine(mem)
-    # Explicit --engine wins; None defers to REPRO_ENGINE, then "compiled".
     engine.run_kernel(kernel, engine=args.engine)
     got = dst.get_interior()
     ref = apply_reference(src.get_full(), spec)
@@ -239,7 +246,6 @@ def cmd_scaling(args) -> int:
     if spec.ndim != 2:
         raise SystemExit("scaling supports 2D stencils")
     n = int(args.size)
-    machine = _machine(args.machine)
     cores = [int(c) for c in args.cores.split(",")]
     for c in cores:
         if n // c <= 0:
@@ -248,6 +254,7 @@ def cmd_scaling(args) -> int:
     # Distinct slice heights (plus the 1-core serial reference) measured
     # through the experiment engine: cached, and parallel under --jobs.
     runner = _runner(args)
+    machine = runner.machine
     heights = sorted({n // c for c in cores} | {n})
     results = runner.measure_many(
         [(args.method, args.stencil, (rows, n)) for rows in heights],
@@ -262,15 +269,7 @@ def cmd_scaling(args) -> int:
         )
     slices = {r.shape[0]: r.counters for r in results}
 
-    # Same --engine (or REPRO_ENGINE) selection as the slice measurements
-    # above, so a compiled-vs-reference A/B governs the whole sweep rather
-    # than silently reverting to the default here.
-    mc = MulticoreModel(
-        machine,
-        engine=args.engine,
-        steady=getattr(args, "steady", None),
-        artifact_dir=_dir_arg(args, "artifact_dir"),
-    )
+    mc = MulticoreModel(machine, timing_engine=runner.engine)
     points = mc.series_from_slices(slices, n, cores)
     print(f"{args.method} on {args.stencil} {n}x{n} ({machine.name}):")
     for p in points:
@@ -325,10 +324,7 @@ def cmd_precompile(args) -> int:
             _machine(machine_name),
             _options(args),
             cache_dir=_dir_arg(args, "cache_dir"),
-            engine=getattr(args, "engine", None),
-            steady=getattr(args, "steady", None),
-            sample=getattr(args, "sample", None),
-            artifact_dir=artifact_dir,
+            **dict(_mode_kwargs(args), artifact_dir=artifact_dir),
         )
         results = runner.precompile(cells, jobs=args.jobs, progress=args.jobs > 1)
         built = [r for r in results if r.ok]
@@ -362,13 +358,11 @@ def cmd_serve(args) -> int:
     from repro.service import StencilService
     from repro.service.protocol import ServiceServer
 
+    artifact_dir = _dir_arg(args, "artifact_dir") or os.environ.get("REPRO_ARTIFACTS")
     service = StencilService(
         workers=args.workers,
         cache_dir=_dir_arg(args, "cache_dir") or os.environ.get("REPRO_BENCH_CACHE"),
-        artifact_dir=_dir_arg(args, "artifact_dir") or os.environ.get("REPRO_ARTIFACTS"),
-        engine=getattr(args, "engine", None),
-        steady=getattr(args, "steady", None),
-        sample=getattr(args, "sample", None),
+        **dict(_mode_kwargs(args), artifact_dir=artifact_dir),
     )
 
     async def main_async() -> None:
@@ -538,8 +532,27 @@ def build_parser() -> argparse.ArgumentParser:
             help="write a BENCH_*.json artifact (file, or directory for the default name)",
         )
         p.add_argument(
+            "--profile",
+            action="store_true",
+            help="profile the run with cProfile; writes .pstats + a top-20 table "
+            "next to the --json report (or into the working directory)",
+        )
+        _mode_args(p)
+
+    def _engine_arg(p):
+        p.add_argument(
+            "--engine",
+            choices=list(ENGINES),
+            default=None,
+            help="simulation engine (default: REPRO_ENGINE env var, then compiled)",
+        )
+
+    def _mode_args(p):
+        """The four simulation-mode flags (see ``SimMode``)."""
+        _engine_arg(p)
+        p.add_argument(
             "--steady",
-            choices=["on", "off"],
+            choices=list(STEADY_MODES),
             default=None,
             help="steady-state elision on full runs, at band and pass boundaries "
             "(default: REPRO_STEADY env var, then on; bit-identical either way)",
@@ -556,21 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="compiled-artifact store directory (templates, lowered "
             "programs, columnar plans; default: REPRO_ARTIFACTS env var)",
-        )
-        p.add_argument(
-            "--profile",
-            action="store_true",
-            help="profile the run with cProfile; writes .pstats + a top-20 table "
-            "next to the --json report (or into the working directory)",
-        )
-        _engine_arg(p)
-
-    def _engine_arg(p):
-        p.add_argument(
-            "--engine",
-            choices=["compiled", "reference"],
-            default=None,
-            help="simulation engine (default: REPRO_ENGINE env var, then compiled)",
         )
 
     p = sub.add_parser("bench", help="time one method")
@@ -617,20 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent worker processes (default: cores - 1)",
     )
     p.add_argument("--cache-dir", default=None, help="measurement cache directory (default: REPRO_BENCH_CACHE)")
-    p.add_argument(
-        "--artifact-dir", default=None,
-        help="compiled-artifact store directory (default: REPRO_ARTIFACTS)",
-    )
-    p.add_argument(
-        "--steady", choices=["on", "off"], default=None,
-        help="steady-state elision on full runs, at band and pass boundaries "
-        "(default: REPRO_STEADY env var, then on)",
-    )
-    p.add_argument(
-        "--sample", action=argparse.BooleanOptionalAction, default=None,
-        help="force band-sampled (--sample) or full exact (--no-sample) timing",
-    )
-    _engine_arg(p)
+    _mode_args(p)
 
     p = sub.add_parser("submit", help="submit cells to a running service")
     p.add_argument("--socket", required=True, help="Unix socket of a `repro serve` process")

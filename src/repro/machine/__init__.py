@@ -30,7 +30,7 @@ from repro.machine.prefetcher import StreamPrefetcher
 from repro.machine.perf import PerfCounters
 from repro.machine.functional import FunctionalEngine
 from repro.machine.pipeline import PipelineModel
-from repro.machine.timing import ENGINES, TimingEngine, SamplePlan, default_engine
+from repro.machine.timing import ENGINES, SimMode, TimingEngine, SamplePlan
 from repro.machine.multicore import MulticoreModel, ScalingPoint
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
     "TimingEngine",
     "SamplePlan",
     "ENGINES",
-    "default_engine",
+    "SimMode",
     "MulticoreModel",
     "ScalingPoint",
 ]

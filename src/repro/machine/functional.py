@@ -14,7 +14,6 @@ sampled bands of the out-of-cache sizes).
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -62,6 +61,7 @@ from repro.machine.compiled import (
     FunctionalProgram,
 )
 from repro.machine.memory import MemorySpace, PAGE_WORDS
+from repro.machine.timing import SimMode
 
 
 class FunctionalEngine:
@@ -253,8 +253,9 @@ class FunctionalEngine:
 
         ``engine`` selects the compiled template-replay fast path
         (``"compiled"``, the default) or the per-instruction reference walk
-        (``"reference"``); unset, the ``REPRO_ENGINE`` environment variable
-        decides.  Both produce bit-identical architectural state.
+        (``"reference"``); unset, it resolves as
+        :meth:`~repro.machine.timing.SimMode.resolve` does.  Both produce
+        bit-identical architectural state.
 
         The compiled path additionally executes runs of consecutive blocks
         that share a template *batched*: one NumPy opcode at a time across
@@ -262,15 +263,11 @@ class FunctionalEngine:
         per-block replay whenever the batch safety analysis says the
         lockstep reordering could be observable.
         """
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE", "compiled")
-        if engine == "reference":
+        if SimMode.resolve(engine=engine).engine == "reference":
             self.execute_trace(kernel.preamble())
             for block in kernel.loop_nest():
                 self.execute_trace(kernel.emit(block))
             return
-        if engine != "compiled":
-            raise ValueError(f"unknown engine {engine!r}")
         from repro.kernels.template import TraceCompiler
         from repro.machine.batched import BatchReplayer
 

@@ -71,23 +71,20 @@ class ScalingPoint:
 class MulticoreModel:
     """Strong-scaling evaluation for one machine configuration.
 
-    ``engine`` selects the replay engine exactly as on
-    :class:`~repro.machine.timing.TimingEngine` (``None`` defers to
-    ``REPRO_ENGINE``); alternatively a fully constructed engine can be
-    injected via ``timing_engine``.  One engine serves the whole sweep on
-    purpose: on the compiled engine its columnar share holds the memory
-    plans and scoreboard memo tables, so every distinct slice height after
-    the first replays against already-warmed state (slice kernels differ
-    only in row count, and their programs pool by structural signature).
+    ``timing_engine`` injects a constructed
+    :class:`~repro.machine.timing.TimingEngine` (built for this ``config``)
+    and with it a simulation mode; ``None`` builds one on the mode resolved
+    from the environment.  One engine serves the whole sweep on purpose: on
+    the compiled engine its columnar share holds the memory plans and
+    scoreboard memo tables, so every distinct slice height after the first
+    replays against already-warmed state (slice kernels differ only in row
+    count, and their programs pool by structural signature).
     """
 
     def __init__(
         self,
         config: MachineConfig,
-        engine: Optional[str] = None,
-        steady: Optional[str] = None,
         timing_engine: Optional[TimingEngine] = None,
-        artifact_dir=None,
     ) -> None:
         self.config = config
         if timing_engine is not None:
@@ -95,12 +92,7 @@ class MulticoreModel:
                 raise ValueError("timing_engine was built for a different config")
             self.engine = timing_engine
         else:
-            self.engine = TimingEngine(
-                config,
-                engine=engine,
-                steady=steady,
-                artifact_dir=artifact_dir,
-            )
+            self.engine = TimingEngine(config)
 
     def run_slice(
         self,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.isa.instructions import Instruction
 from repro.isa.program import Kernel
@@ -44,13 +44,8 @@ class SamplePlan:
 FULL_SIM_POINT_LIMIT = 300_000
 
 
-#: Engines selectable on :class:`TimingEngine` / ``FunctionalEngine.run_kernel``.
+#: Engines selectable on :class:`SimMode` / ``FunctionalEngine.run_kernel``.
 ENGINES = ("compiled", "reference")
-
-
-def default_engine() -> str:
-    """Engine used when none is requested (``REPRO_ENGINE`` overrides)."""
-    return os.environ.get("REPRO_ENGINE", "compiled")
 
 
 #: Steady-state elision on *full* (unsampled) runs, compiled engine only.
@@ -64,13 +59,68 @@ def default_engine() -> str:
 STEADY_MODES = ("on", "off")
 
 
-def default_steady() -> str:
-    """Steady-elision mode when none is requested (``REPRO_STEADY`` overrides)."""
-    return os.environ.get("REPRO_STEADY", "on")
+@dataclass(frozen=True)
+class SimMode:
+    """How cells are simulated: the four settings, validated and resolved.
+
+    ``engine`` (:data:`ENGINES`) and ``steady`` (:data:`STEADY_MODES`) pick
+    the replay and the elision; ``sample`` forces band-sampled (``True``)
+    or full exact (``False``) timing, ``None`` choosing by grid size;
+    ``artifact_dir`` installs the compiled-artifact store
+    (:mod:`repro.machine.artifacts`).  Every instance is valid, so layers
+    below the public edges take one ``mode`` instead of four keywords.
+    """
+
+    engine: str = "compiled"
+    steady: str = "on"
+    sample: Optional[bool] = None
+    artifact_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
+        if self.steady not in STEADY_MODES:
+            raise ValueError(
+                f"unknown steady {self.steady!r}; expected one of {STEADY_MODES}"
+            )
+        if self.sample is not None:
+            object.__setattr__(self, "sample", bool(self.sample))
+        if self.artifact_dir is not None:
+            object.__setattr__(self, "artifact_dir", os.fspath(self.artifact_dir))
+
+    @classmethod
+    def resolve(
+        cls,
+        engine: Optional[str] = None,
+        steady: Optional[str] = None,
+        sample: Optional[bool] = None,
+        artifact_dir=None,
+    ) -> "SimMode":
+        """Explicit values win, then ``REPRO_ENGINE``/``REPRO_STEADY``, then
+        the defaults.  The one reader of those two variables."""
+        if engine is None:
+            engine = os.environ.get("REPRO_ENGINE", "compiled")
+        if steady is None:
+            steady = os.environ.get("REPRO_STEADY", "on")
+        return cls(engine, steady, sample, artifact_dir)
+
+    def describe(self) -> Dict[str, object]:
+        """``engine``, ``steady`` and ``sample``: what shaped a measurement.
+
+        BENCH JSON reports record it whole; the measurement cache key
+        (:func:`repro.bench.cache.cache_key`) digests the fields that differ
+        from the default mode and records ``engine`` for audit only.
+        """
+        return {"engine": self.engine, "steady": self.steady, "sample": self.sample}
 
 
 class TimingEngine:
     """Produces :class:`PerfCounters` for kernels and raw traces.
+
+    ``mode`` (a :class:`SimMode`; ``None`` resolves one from the
+    environment) fixes how every run is simulated.
 
     ``engine="compiled"`` (the default) drives kernel blocks through the
     trace-compilation layer (:mod:`repro.kernels.template`): one emit +
@@ -84,34 +134,16 @@ class TimingEngine:
     is columnar's private probe oracle and demotion fallback.
     """
 
-    def __init__(
-        self,
-        config: MachineConfig,
-        engine: Optional[str] = None,
-        steady: Optional[str] = None,
-        artifact_dir=None,
-    ) -> None:
+    def __init__(self, config: MachineConfig, mode: Optional[SimMode] = None) -> None:
         self.config = config
-        if artifact_dir is not None:
+        self.mode = mode if mode is not None else SimMode.resolve()
+        if self.mode.artifact_dir is not None:
             # Installs the process-wide compiled-artifact store: template
             # bundles, lowered programs and columnar plans persist across
             # processes (see :mod:`repro.machine.artifacts`).
             from repro.machine.artifacts import install_artifact_store
 
-            install_artifact_store(artifact_dir)
-        self.artifact_dir = artifact_dir
-        if engine is None:
-            engine = default_engine()
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.engine = engine
-        if steady is None:
-            steady = default_steady()
-        if steady not in STEADY_MODES:
-            raise ValueError(
-                f"unknown steady {steady!r}; expected one of {STEADY_MODES}"
-            )
-        self.steady = steady
+            install_artifact_store(self.mode.artifact_dir)
         #: In-process steady records keyed by bundle digest: a verified
         #: ``(period, delta, signature)`` from any earlier run (or the
         #: artifact store) lets later runs skip detection entirely and go
@@ -129,6 +161,14 @@ class TimingEngine:
         #: keyed on pooled program identity + relative context; see
         #: :class:`repro.machine.columnar.ColumnarShare`).
         self._share = None
+
+    @property
+    def engine(self) -> str:
+        return self.mode.engine
+
+    @property
+    def steady(self) -> str:
+        return self.mode.steady
 
     def _columnar_share(self):
         if self._share is None:
@@ -159,8 +199,9 @@ class TimingEngine:
     ) -> PerfCounters:
         """Time a kernel; returns full-grid counters.
 
-        ``sample=None`` picks automatically: grids with more than
-        :data:`FULL_SIM_POINT_LIMIT` output points are band-sampled.
+        ``sample=None`` defers to the mode's ``sample``; when that is unset
+        too, grids with more than :data:`FULL_SIM_POINT_LIMIT` output points
+        are band-sampled.
         ``warm`` only affects full simulations (one unmeasured pass first).
         ``iters`` repeats the measured pass, hardware-benchmark style: the
         returned counters sum all measured passes and ``points`` scales
@@ -170,6 +211,8 @@ class TimingEngine:
             raise ValueError(f"iters must be >= 1, got {iters}")
         nest = kernel.loop_nest()
         total_points = nest.total_points()
+        if sample is None:
+            sample = self.mode.sample
         if sample is None:
             sample = total_points > FULL_SIM_POINT_LIMIT
 
@@ -199,7 +242,7 @@ class TimingEngine:
         template classes the replay resolves (``None`` on the reference
         engine).
         """
-        if self.engine != "compiled":
+        if self.mode.engine != "compiled":
 
             def run_band(band) -> None:
                 for block in band:
@@ -214,16 +257,18 @@ class TimingEngine:
         )
         return replayer.process_band, replayer.compiler
 
-    def _steady_controller(self, pipe: PipelineModel, compiler, bands, stats, verdicts):
+    def _steady_controller(
+        self, pipe: PipelineModel, compiler, bands, stats, verdicts, key
+    ):
         """Build one pass's steady controller, wired to the record caches.
 
         ``verdicts`` is the run's certificate memo, shared by every pass of
-        one kernel (see ``SteadyController``).
+        one kernel (see ``SteadyController``); ``key`` is the kernel's
+        :func:`~repro.machine.steady.steady_record_key`, taken once per run.
         """
-        from repro.machine import steady as steady_mod
         from repro.machine.artifacts import active_store
+        from repro.machine.steady import SteadyController
 
-        key = steady_mod.steady_record_key(compiler)
         record = None
         if key is not None:
             record = self._steady_records.get(key)
@@ -242,7 +287,7 @@ class TimingEngine:
             if store is not None:
                 store.store("steady", key, rec)
 
-        return steady_mod.SteadyController(
+        return SteadyController(
             pipe,
             compiler,
             bands,
@@ -255,11 +300,13 @@ class TimingEngine:
 
     def _run_full(self, kernel: Kernel, nest, warm: bool, iters: int = 1) -> PerfCounters:
         from repro.machine.steady import (
+            MIN_BANDS,
             SteadyStats,
             apply_jump,
             raw_counters,
             raw_delta,
             rebased_signature,
+            steady_record_key,
         )
 
         pipe = PipelineModel(self.config)
@@ -270,16 +317,24 @@ class TimingEngine:
         run_band, compiler = self._band_machinery(kernel, pipe, nest)
         stats = SteadyStats()
         self.steady_stats = stats
-        use_steady = self.steady == "on" and compiler is not None
+        use_steady = self.mode.steady == "on" and compiler is not None
         verdicts: dict = {}
+        band_steady = use_steady and len(bands) >= MIN_BANDS
+        if use_steady and not band_steady:
+            stats.disabled = "too-few-bands"
+        key = steady_record_key(compiler) if band_steady else None
 
         def one_pass() -> None:
             pipe.process_trace(kernel.preamble())
-            controller = (
-                self._steady_controller(pipe, compiler, bands, stats, verdicts)
-                if use_steady
-                else None
-            )
+            controller = None
+            # A certificate refusal holds for every pass while the edge
+            # width stands, so such a pass builds no controller at all.
+            # Dynamic refusals (no-room, no-recurrence) get a fresh one.
+            verdict = verdicts.get(compiler.edge) if band_steady else None
+            if band_steady and (verdict is None or verdict[0] is not None):
+                controller = self._steady_controller(
+                    pipe, compiler, bands, stats, verdicts, key
+                )
             k = 0
             nbands = len(bands)
             while k < nbands:
@@ -341,7 +396,7 @@ class TimingEngine:
         all cores, so the cores' counters stay bit-identical to running each
         kernel alone with ``run(sample=False)``.
         """
-        from repro.machine.steady import SteadyStats
+        from repro.machine.steady import SteadyStats, steady_record_key
 
         cores = []
         for kernel in kernels:
@@ -353,7 +408,7 @@ class TimingEngine:
         stats_list = [SteadyStats() for _ in kernels]
         self.lockstep_steady_stats = stats_list
         verdicts_list = [{} for _ in kernels]
-        use_steady = self.steady == "on" and self.engine == "compiled"
+        use_steady = self.mode.steady == "on" and self.mode.engine == "compiled"
 
         def one_pass() -> None:
             controllers = []
@@ -364,7 +419,8 @@ class TimingEngine:
                 ctrl = None
                 if use_steady and compiler is not None:
                     ctrl = self._steady_controller(
-                        pipe, compiler, bands, stats, verdicts
+                        pipe, compiler, bands, stats, verdicts,
+                        steady_record_key(compiler),
                     )
                 controllers.append(ctrl)
             lock_dead = not use_steady or any(c is None for c in controllers)

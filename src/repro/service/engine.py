@@ -44,7 +44,7 @@ from repro.bench.parallel import Cell, CellResult
 from repro.kernels.base import KernelOptions
 from repro.machine import artifacts
 from repro.machine.config import LX2, M4, MachineConfig
-from repro.machine.timing import SamplePlan
+from repro.machine.timing import SamplePlan, SimMode
 from repro.service.queue import AdmissionError, LaneQueue
 
 #: Actions a task may carry.  ``crash`` is the crash-recovery self-test
@@ -88,10 +88,7 @@ def _runner_for(profile: Dict):
             profile["machine"],
             profile["options"],
             cache_dir=profile["cache_dir"],
-            engine=profile["engine"],
-            steady=profile.get("steady"),
-            sample=profile.get("sample"),
-            artifact_dir=profile["artifact_dir"],
+            **dataclasses.asdict(profile["mode"]),
         )
         _RUNNERS[profile["key"]] = runner
     return runner
@@ -272,10 +269,8 @@ class StencilService:
     ) -> None:
         self.workers = workers if workers else max(1, (os.cpu_count() or 2) - 1)
         self.cache_dir = cache_dir
-        self.artifact_dir = artifact_dir
-        self.engine = engine
-        self.steady = steady
-        self.sample = sample
+        #: How every cell is simulated, resolved once (see ``SimMode``).
+        self.mode = SimMode.resolve(engine, steady, sample, artifact_dir)
         self.queue = LaneQueue(weights=weights, max_pending=max_pending)
         self.counters: Dict[str, int] = {
             "jobs": 0,
@@ -378,10 +373,7 @@ class StencilService:
                 "machine": artifacts.machine_fingerprint(machine),
                 "options": dataclasses.asdict(options),
                 "cache_dir": str(self.cache_dir) if self.cache_dir else None,
-                "engine": self.engine,
-                "steady": self.steady,
-                "sample": self.sample,
-                "artifact_dir": str(self.artifact_dir) if self.artifact_dir else None,
+                "mode": dataclasses.asdict(self.mode),
             }
         )[:16]
         profile = self._profiles.get(key)
@@ -391,10 +383,7 @@ class StencilService:
                 "machine": machine,
                 "options": options,
                 "cache_dir": self.cache_dir,
-                "engine": self.engine,
-                "steady": self.steady,
-                "sample": self.sample,
-                "artifact_dir": self.artifact_dir,
+                "mode": self.mode,
             }
             self._profiles[key] = profile
         return profile
@@ -405,7 +394,7 @@ class StencilService:
         method, stencil, shape = cell
         digest, _ = cache_key(
             machine, method, stencil, tuple(shape), options, plan, warm,
-            iters=iters, sample=self.sample, steady=self.steady,
+            iters=iters, mode=self.mode,
         )
         return (action, digest)
 

@@ -40,7 +40,7 @@ from repro.machine.compiled import (
 from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
-from repro.machine.timing import TimingEngine
+from repro.machine.timing import SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 from repro.stencils.reference import apply_reference
@@ -84,7 +84,7 @@ def _timing_run(method, machine_name, store_dir, **build_kw):
     if built is None:
         return None
     kernel, config, _, _ = built
-    return TimingEngine(config, engine="compiled").run(kernel, sample=False, warm=True).to_dict()
+    return TimingEngine(config, SimMode(engine="compiled")).run(kernel, sample=False, warm=True).to_dict()
 
 
 # -- round-trip bit identity --------------------------------------------------
@@ -396,7 +396,7 @@ def test_program_pool_lru_eviction(monkeypatch):
     monkeypatch.setattr(compiled_mod, "_POOL", ProgramPool(capacity=1))
     built = _build("hstencil", "LX2", stencil="box2d9p", rows=21, cols=27)
     kernel, config, _, _ = built
-    TimingEngine(config, engine="compiled").run(kernel, sample=False, warm=True)
+    TimingEngine(config, SimMode(engine="compiled")).run(kernel, sample=False, warm=True)
     stats = compiled_mod._POOL.stats()
     assert stats["capacity"] == 1
     assert stats["entries"] <= 1
@@ -436,14 +436,14 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         "from repro.kernels.registry import make_kernel\n"
         "from repro.machine.config import LX2\n"
         "from repro.machine.memory import MemorySpace\n"
-        "from repro.machine.timing import TimingEngine\n"
+        "from repro.machine.timing import SimMode, TimingEngine\n"
         "from repro.stencils.grid import Grid2D\n"
         "from repro.stencils.library import benchmark\n"
         "spec = benchmark('star2d9p'); config = LX2(); mem = MemorySpace()\n"
         "src = Grid2D(mem, 33, 48, spec.radius, 'A', fill='random', seed=7)\n"
         "dst = Grid2D(mem, 33, 48, spec.radius, 'B')\n"
         "kernel = make_kernel('hstencil', spec, src, dst, config, KernelOptions(unroll_j=2))\n"
-        "pc = TimingEngine(config, engine='compiled').run(kernel, sample=False, warm=True)\n"
+        "pc = TimingEngine(config, SimMode(engine='compiled')).run(kernel, sample=False, warm=True)\n"
         "print(json.dumps(pc.to_dict(), sort_keys=True))\n"
     )
     src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

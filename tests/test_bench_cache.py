@@ -17,7 +17,7 @@ from repro.isa.instructions import PortClass
 from repro.kernels.base import KernelOptions
 from repro.machine.config import LX2, M4
 from repro.machine.perf import PerfCounters
-from repro.machine.timing import SamplePlan
+from repro.machine.timing import SamplePlan, SimMode
 
 
 def sample_counters() -> PerfCounters:
@@ -167,3 +167,60 @@ class TestRunnerDiskCache:
         assert record["source"] == "simulated"
         assert record["counters"]["points"] == 32 * 32
         assert record["derived"]["cycles_per_point"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Pinned digests: every mode combination keys exactly as before SimMode.
+# ---------------------------------------------------------------------------
+
+#: ``cache_key`` digests of LX2/M4 ``hstencil`` box2d9p 64x64 (warm, no plan,
+#: default options), recorded before the mode settings were folded into one
+#: ``SimMode``.  ``code_version()`` and NumPy's version are pinned to
+#: ``"pinned"`` so the table tests the key layout, not the source tree.
+PINNED_DIGESTS = {
+    ("LX2", None, "on", 1): "275e809a95b32caa824986daf23b92a6e47350b78a2f1acd2b04a2df675310dc",
+    ("LX2", None, "on", 3): "7a15d43b3a42c4ea9f9bc571cc9e321c2855e3c630af0a7a95ab5f90a3bd1d08",
+    ("LX2", None, "off", 1): "428c84ece8d76d782e05d6fb309bb70c8d11de87349eb8436afeaf649a550044",
+    ("LX2", None, "off", 3): "82eda1fd0017b963bd2348cea04e8015c17cb321167d1244b1ed9c2b95963eb7",
+    ("LX2", True, "on", 1): "6bbacfe29dcc65529b1ee564e18769644251f1de8c6039e7b2737f5408c3300f",
+    ("LX2", True, "on", 3): "52d8f6c611983c51f1a4dffc934fc7e499bd95b2957ed6374d58590306bc105a",
+    ("LX2", True, "off", 1): "39718237d20e5afb7b64d49f0628feea6a8ca36db8e616519feeffb5f0426720",
+    ("LX2", True, "off", 3): "9144865afa79c846a280b44842cc8c1db595eb11da537ea2142168dfce853718",
+    ("LX2", False, "on", 1): "7eb761dd0113dadb3a17326ae32b8fdec3b8d2206360aa8cb37d63a8bb30a11a",
+    ("LX2", False, "on", 3): "c28db491de62f670ace530930550604e861d6bf0b7c447ce92da23e231cb2242",
+    ("LX2", False, "off", 1): "614abb9b57de3766e90deeb2630ce01d471388e4dc8bac5242d6b7d548090057",
+    ("LX2", False, "off", 3): "d83cacf03e75fd6be5df23d3915d36cfd3de743dcd7a44bc25080bd67f45f42c",
+    ("M4", None, "on", 1): "b6b1d0eca93a48b64c9b0b624d8b3c05d75875b698b87bc3b6d70431208fb3da",
+    ("M4", None, "on", 3): "984e8471c172517b3a3ae11f4f40d38e5c58aab8e435c85b763e7e239cf3449e",
+    ("M4", None, "off", 1): "4bb0bcdf957abf0e364fef5dc3005b2f9820c154649e9ea6e64072c3efc4f7da",
+    ("M4", None, "off", 3): "6213dd4ee2e5114e49606b183cf47ea2508727abe2cb33b3077125837e752487",
+    ("M4", True, "on", 1): "df2332c1d997922e273199cff24acda75de13760e789d1b7b77380a0401cd7a1",
+    ("M4", True, "on", 3): "0fc0d80f88c8c35af6e332b8ff47365d0c4275a49ea446af72d083f4e0925bbc",
+    ("M4", True, "off", 1): "c77c6f1592cdc002796bb724fa19e51a53946a7be81959e0cd0c4d3ef1a1ce67",
+    ("M4", True, "off", 3): "b24d158a6ceb564e8bc33812a4a9b223a9f9486d322099fd96c67211402cc015",
+    ("M4", False, "on", 1): "de9816098c98415fd5e2ffa88dff5c7e4d67d2a1a9193c01f31078d849741472",
+    ("M4", False, "on", 3): "b339ecc75b7e082c037b1ec12e642cdafd9771e2406c384c13c76673d60ede8a",
+    ("M4", False, "off", 1): "da077481da9b207b812b0e6ea50e245ad79419a4394de019ec4fdd7018e67364",
+    ("M4", False, "off", 3): "9600d4030138d19bf37ba0f12abecd64d4c2270d038111a8a1ec068dc6dc08dd",
+}
+
+
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
+@pytest.mark.parametrize(
+    "machine,sample,steady,iters",
+    list(PINNED_DIGESTS),
+    ids=["-".join(map(str, k)) for k in PINNED_DIGESTS],
+)
+def test_cache_key_digest_pinned(monkeypatch, machine, sample, steady, iters, engine):
+    import repro.bench.cache as cache_mod
+
+    monkeypatch.setattr(cache_mod, "code_version", lambda: "pinned")
+    monkeypatch.setattr(cache_mod.np, "__version__", "pinned")
+    config = {"LX2": LX2, "M4": M4}[machine]()
+    digest, inputs = cache_key(
+        config, "hstencil", "box2d9p", (64, 64), KernelOptions(), None, True,
+        iters=iters, mode=SimMode(engine=engine, steady=steady, sample=sample),
+    )
+    assert digest == PINNED_DIGESTS[machine, sample, steady, iters]
+    # The engine is recorded for audit and never moves the digest.
+    assert inputs["engine"] == engine

@@ -1,5 +1,7 @@
 """Benchmark harness: runner caching, sweeps, report formatting."""
 
+import json
+
 import pytest
 
 from repro.bench.report import (
@@ -7,6 +9,7 @@ from repro.bench.report import (
     format_scaling_series,
     format_speedup_table,
     geomean,
+    write_bench_json,
 )
 from repro.bench.runner import ExperimentRunner
 from repro.machine.config import LX2
@@ -86,3 +89,22 @@ class TestReport:
         )
         assert "12.90" in text
         assert "32" in text
+
+    @pytest.mark.parametrize(
+        "kwargs,modes",
+        [
+            ({}, {"engine": "compiled", "steady": "on", "sample": None}),
+            (
+                {"engine": "reference", "steady": "off", "sample": False},
+                {"engine": "reference", "steady": "off", "sample": False},
+            ),
+        ],
+        ids=["default", "reference-off-exact"],
+    )
+    def test_bench_json_records_the_resolved_mode(self, tmp_path, monkeypatch, kwargs, modes):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_STEADY", raising=False)
+        runner = ExperimentRunner(LX2(), **kwargs)
+        runner.measure("auto", "star2d5p", (32, 32))
+        payload = json.loads(write_bench_json(tmp_path, "demo", runner=runner).read_text())
+        assert payload["modes"] == modes

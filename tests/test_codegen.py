@@ -27,7 +27,7 @@ from repro.machine.compiled import clear_program_pool
 from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
-from repro.machine.timing import SamplePlan, TimingEngine
+from repro.machine.timing import SamplePlan, SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
@@ -75,7 +75,7 @@ def _timed(method, machine_name, stencil, rows, cols, engine):
     if built is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
     kernel, config, _, _ = built
-    return TimingEngine(config, engine=engine).run(
+    return TimingEngine(config, SimMode(engine=engine)).run(
         kernel, sample=True, plan=PLAN
     )
 
@@ -110,7 +110,7 @@ def test_full_run_codegen_bit_identical():
     runs = {}
     for engine in ("reference", "compiled"):
         kernel, config, _, _ = _build("hstencil", "LX2", "star2d5p", 31, 35)
-        runs[engine] = TimingEngine(config, engine=engine).run(
+        runs[engine] = TimingEngine(config, SimMode(engine=engine)).run(
             kernel, sample=False, warm=True
         )
     assert runs["compiled"].to_dict() == runs["reference"].to_dict()

@@ -20,7 +20,7 @@ from repro.machine.columnar import ColumnarReplayer
 from repro.machine.config import LX2, M4
 from repro.machine.memory import MemorySpace
 from repro.machine.pipeline import PipelineModel
-from repro.machine.timing import SamplePlan, TimingEngine
+from repro.machine.timing import SamplePlan, SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
@@ -52,7 +52,7 @@ def _sampled(method, machine_name, stencil, rows, cols, engine):
     if built is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
     kernel, config = built
-    return TimingEngine(config, engine=engine).run(kernel, sample=True, plan=PLAN)
+    return TimingEngine(config, SimMode(engine=engine)).run(kernel, sample=True, plan=PLAN)
 
 
 @pytest.mark.parametrize("stencil,rows,cols", GRIDS, ids=[g[0] for g in GRIDS])

@@ -19,7 +19,7 @@ from repro.kernels.registry import METHODS, make_kernel
 from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
-from repro.machine.timing import ENGINES, TimingEngine, default_engine
+from repro.machine.timing import ENGINES, SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
@@ -52,8 +52,8 @@ def test_timing_counters_bit_identical(method, machine_name, stencil, rows, cols
     if built is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
     kernel, config, _, _ = built
-    ref = TimingEngine(config, engine="reference").run(kernel, sample=False, warm=True)
-    cmp_ = TimingEngine(config, engine="compiled").run(kernel, sample=False, warm=True)
+    ref = TimingEngine(config, SimMode(engine="reference")).run(kernel, sample=False, warm=True)
+    cmp_ = TimingEngine(config, SimMode(engine="compiled")).run(kernel, sample=False, warm=True)
     assert cmp_.to_dict() == ref.to_dict()
 
 
@@ -87,22 +87,22 @@ def test_sampled_run_bit_identical():
         src = Grid2D(mem, 512, 512, spec.radius, "A")
         dst = Grid2D(mem, 512, 512, spec.radius, "B")
         kernel = make_kernel("hstencil-prefetch", spec, src, dst, config)
-        results[engine] = TimingEngine(config, engine=engine).run(kernel, sample=True)
+        results[engine] = TimingEngine(config, SimMode(engine=engine)).run(kernel, sample=True)
     assert results["compiled"].to_dict() == results["reference"].to_dict()
 
 
 def test_default_engine_is_compiled(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert default_engine() == "compiled"
+    assert SimMode.resolve().engine == "compiled"
     assert TimingEngine(LX2()).engine == "compiled"
     monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert default_engine() == "reference"
+    assert SimMode.resolve().engine == "reference"
     assert TimingEngine(LX2()).engine == "reference"
 
 
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown engine"):
-        TimingEngine(LX2(), engine="turbo")
+        TimingEngine(LX2(), SimMode(engine="turbo"))
     with pytest.raises(ValueError, match="unknown engine"):
         FunctionalEngine().run_kernel(
             make_kernel("auto", benchmark("star2d5p"), *_grids(), LX2()), engine="turbo"

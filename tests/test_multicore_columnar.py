@@ -25,7 +25,7 @@ from repro.machine.columnar import ColumnarReplayer
 from repro.machine.config import LX2, M4
 from repro.machine.memory import MemorySpace
 from repro.machine.multicore import MulticoreModel
-from repro.machine.timing import SamplePlan, TimingEngine
+from repro.machine.timing import SamplePlan, SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
@@ -66,7 +66,7 @@ def _sweep(method, machine_name, engine):
     builder = _kernel_builder(method, config)
     if builder is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
-    mc = MulticoreModel(config, engine=engine)
+    mc = MulticoreModel(config, timing_engine=TimingEngine(config, SimMode(engine=engine)))
     return mc.strong_scaling(builder, TOTAL_ROWS, CORES, plan=PLAN)
 
 
@@ -107,16 +107,19 @@ def test_multicore_forced_demotion_falls_back_bit_identically(monkeypatch):
 
 
 class TestEngineInjection:
-    def test_engine_timing_kwargs_match_injected_engine(self):
-        """``MulticoreModel(engine=)`` must behave exactly like injecting a
-        :class:`TimingEngine` built with the same selection."""
+    def test_engine_timing_kwargs_match_injected_engine(self, monkeypatch):
+        """``MulticoreModel(config)`` builds its engine on the resolved mode
+        and behaves exactly like injecting a :class:`TimingEngine` built
+        with that mode."""
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
         config = LX2()
         builder = _kernel_builder("hstencil", config)
-        via_kwargs = MulticoreModel(config, engine="compiled")
+        via_default = MulticoreModel(config)
+        assert via_default.engine.mode == SimMode(engine="reference")
         via_engine = MulticoreModel(
-            config, timing_engine=TimingEngine(config, engine="compiled")
+            config, timing_engine=TimingEngine(config, SimMode(engine="reference"))
         )
-        a = via_kwargs.strong_scaling(builder, TOTAL_ROWS, CORES, plan=PLAN)
+        a = via_default.strong_scaling(builder, TOTAL_ROWS, CORES, plan=PLAN)
         b = via_engine.strong_scaling(builder, TOTAL_ROWS, CORES, plan=PLAN)
         assert [asdict(p) for p in a] == [asdict(p) for p in b]
 
@@ -128,7 +131,7 @@ class TestEngineInjection:
     def test_non_positive_bandwidth_rejected(self):
         config = replace(LX2(), mem_bandwidth_bytes_per_cycle=0)
         mc = MulticoreModel(config)
-        counters = TimingEngine(LX2(), engine="compiled").run(
+        counters = TimingEngine(LX2(), SimMode(engine="compiled")).run(
             _kernel_builder("hstencil", LX2())(TOTAL_ROWS), sample=True, plan=PLAN
         )
         with pytest.raises(ValueError, match="must be positive"):

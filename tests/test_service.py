@@ -23,6 +23,7 @@ import threading
 import pytest
 
 from repro.bench.runner import ExperimentRunner
+from repro.kernels.base import KernelOptions
 from repro.machine.config import LX2
 from repro.service import (
     AdmissionError,
@@ -266,6 +267,28 @@ def test_service_results_bit_identical_to_runner(tmp_path):
     (record,) = job.records()
     assert record["counters"] == direct.counters.to_dict()
     assert {"method", "stencil", "shape", "source", "seconds", "derived"} <= set(record)
+
+
+@pytest.mark.parametrize(
+    "env,edge_kwargs",
+    [({"REPRO_STEADY": "off"}, {}), ({}, {"sample": False})],
+    ids=["env-steady-off", "sample-false"],
+)
+def test_task_key_is_the_disk_cache_key(tmp_path, monkeypatch, env, edge_kwargs):
+    """Coalescing keys on the same digest the worker's runner stores its
+    disk entry under, also when the mode comes from the environment."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    config, options = LX2(), KernelOptions()
+    cell = ("hstencil", "box2d9p", (64, 64))
+    service = StencilService(workers=1, **edge_kwargs)
+    _action, task_digest = service._task_key(
+        config, options, cell, True, None, 1, "measure"
+    )
+    runner = ExperimentRunner(config, options, cache_dir=tmp_path, **edge_kwargs)
+    runner.measure(*cell)
+    (entry,) = tmp_path.glob("*/*.json")
+    assert task_digest == entry.stem
 
 
 def test_job_event_stream_shape():

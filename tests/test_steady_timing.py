@@ -33,11 +33,7 @@ from repro.machine.config import LX2, M4, CacheGeometry
 from repro.machine.memory import MemorySpace
 from repro.machine.multicore import MulticoreModel
 from repro.machine.steady import SteadyController
-from repro.machine.timing import (
-    STEADY_MODES,
-    TimingEngine,
-    default_steady,
-)
+from repro.machine.timing import STEADY_MODES, SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
@@ -91,7 +87,7 @@ def _full(method, machine_name, steady, stencil, rows, cols):
         kernel, config = _build(method, machine_name, stencil, rows, cols)
     except ValueError as exc:
         pytest.skip(f"{method} on {machine_name} {stencil}: {exc}")
-    engine = TimingEngine(config, engine="compiled", steady=steady)
+    engine = TimingEngine(config, SimMode(engine="compiled", steady=steady))
     counters = engine.run(kernel, sample=False, warm=False)
     return counters, engine.steady_stats
 
@@ -199,8 +195,13 @@ def _lockstep_kernels(cores, machine_name="LX2", rows=LOCK_ROWS, cols=LOCK_COLS)
     return kernels, config
 
 
+def _lockstep_model(machine_name):
+    config = MACHINES[machine_name]()
+    return MulticoreModel(config, timing_engine=TimingEngine(config, SimMode()))
+
+
 def _solo_exact(kernel, config):
-    engine = TimingEngine(config, engine="compiled", steady="off")
+    engine = TimingEngine(config, SimMode(engine="compiled", steady="off"))
     return engine.run(kernel, sample=False, warm=False)
 
 
@@ -209,7 +210,7 @@ def test_lockstep_bit_identical_to_solo(cores):
     kernels, config = _lockstep_kernels(cores)
     solo = [_solo_exact(k, config) for k in kernels]
 
-    mc = MulticoreModel(MACHINES["LX2"](), engine="compiled", steady="on")
+    mc = _lockstep_model("LX2")
     lock = mc.lockstep_slices(kernels, warm=False)
 
     assert len(lock) == cores
@@ -229,7 +230,7 @@ def test_lockstep_no_room_takes_no_signatures(rows, cols):
     kernels, config = _lockstep_kernels(2, "M4", rows, cols)
     solo = [_solo_exact(k, config) for k in kernels]
 
-    mc = MulticoreModel(MACHINES["M4"](), engine="compiled", steady="on")
+    mc = _lockstep_model("M4")
     lock = mc.lockstep_slices(kernels, warm=False)
 
     for got, want in zip(lock, solo):
@@ -255,7 +256,7 @@ def test_lockstep_single_demotion_disables_all_cores(monkeypatch):
 
     monkeypatch.setattr(SteadyController, "_start_verify", sabotage_first)
 
-    mc = MulticoreModel(MACHINES["LX2"](), engine="compiled", steady="on")
+    mc = _lockstep_model("LX2")
     lock = mc.lockstep_slices(kernels, warm=False)
 
     for got, want in zip(lock, solo):
@@ -279,7 +280,7 @@ def test_steady_record_round_trip(tmp_path):
     store = str(tmp_path / "artifacts")
     stencil, rows, cols = ENGAGE_GRIDS["LX2"]
     try:
-        cold = TimingEngine(LX2(), engine="compiled", steady="on", artifact_dir=store)
+        cold = TimingEngine(LX2(), SimMode(artifact_dir=store))
         kernel, _ = _build("hstencil", "LX2", stencil, rows, cols)
         first = cold.run(kernel, sample=False, warm=False)
         cold_stats = cold.steady_stats
@@ -287,7 +288,7 @@ def test_steady_record_round_trip(tmp_path):
         assert cold_stats.detect_sigs > 0
         assert not cold_stats.record_mode
 
-        warm = TimingEngine(LX2(), engine="compiled", steady="on", artifact_dir=store)
+        warm = TimingEngine(LX2(), SimMode(artifact_dir=store))
         kernel, _ = _build("hstencil", "LX2", stencil, rows, cols)
         second = warm.run(kernel, sample=False, warm=False)
         warm_stats = warm.steady_stats
@@ -355,7 +356,7 @@ def test_l2_lines_never_decrease_across_band_boundaries(monkeypatch):
 
     monkeypatch.setattr(TimingEngine, "_band_machinery", counting)
     kernel, config = _build("hstencil", "M4", "box2d25p", 512, 512)
-    engine = TimingEngine(config, engine="compiled", steady="off")
+    engine = TimingEngine(config, SimMode(engine="compiled", steady="off"))
     engine.run(kernel, sample=False, warm=False)
     assert len(counts) == len(kernel.loop_nest().bands())
     assert counts == sorted(counts)
@@ -387,7 +388,7 @@ def test_sets_stay_in_lru_order_across_band_boundaries(monkeypatch):
 
     monkeypatch.setattr(TimingEngine, "_band_machinery", checking)
     kernel, config = _build("hstencil", "M4", "box2d25p", 512, 512)
-    engine = TimingEngine(config, engine="compiled", steady="off")
+    engine = TimingEngine(config, SimMode(engine="compiled", steady="off"))
     engine.run(kernel, sample=False, warm=False)
     assert len(checked) == len(kernel.loop_nest().bands())
 
@@ -459,7 +460,7 @@ def _signature_trail(monkeypatch, machine_name, stencil, size, iters):
     monkeypatch.setattr(steady_mod, "rebased_signature", recording_rebased)
     monkeypatch.setattr(TimingEngine, "_band_machinery", recording)
     kernel, config = _build("hstencil", machine_name, stencil, size, size)
-    engine = TimingEngine(config, engine="compiled", steady="on")
+    engine = TimingEngine(config, SimMode(engine="compiled", steady="on"))
     engine.run(kernel, sample=False, iters=iters)
     return (trail.hexdigest(), *counts)
 
@@ -515,22 +516,28 @@ def test_two_frame_check(addr0, deltas, clean):
 class TestSteadySelection:
     def test_default_steady_is_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_STEADY", raising=False)
-        assert default_steady() == "on"
+        assert SimMode.resolve().steady == "on"
+        assert TimingEngine(LX2()).steady == "on"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_STEADY", "off")
-        assert default_steady() == "off"
+        assert SimMode.resolve().steady == "off"
         assert TimingEngine(LX2()).steady == "off"
+        # An explicit value beats the environment.
+        assert SimMode.resolve(steady="on").steady == "on"
 
-    def test_unknown_steady_rejected(self):
+    def test_unknown_steady_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown steady"):
-            TimingEngine(LX2(), steady="fast")
+            SimMode(steady="fast")
+        monkeypatch.setenv("REPRO_STEADY", "fast")
+        with pytest.raises(ValueError, match="unknown steady"):
+            SimMode.resolve()
 
     def test_modes_are_exactly_the_documented_pair(self):
         assert STEADY_MODES == ("on", "off")
 
     def test_iters_under_sampling_names_the_fix(self):
         kernel, config = _build("hstencil", "LX2", "star2d9p", 33, 48)
-        engine = TimingEngine(config, engine="compiled")
+        engine = TimingEngine(config, SimMode(engine="compiled"))
         with pytest.raises(ValueError, match=r"sample=False \(or --no-sample\)"):
             engine.run(kernel, sample=True, iters=2)

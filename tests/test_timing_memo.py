@@ -1,4 +1,7 @@
-"""Engine selection, iterated runs and the pass-boundary jump."""
+"""Mode resolution, iterated runs and the pass-boundary jump."""
+
+import dataclasses
+import pickle
 
 import pytest
 
@@ -10,7 +13,7 @@ from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
 from repro.machine.pipeline import PipelineModel
 from repro.machine.steady import rebased_signature
-from repro.machine.timing import TimingEngine, default_engine
+from repro.machine.timing import SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
 
@@ -25,32 +28,66 @@ def _kernel(n=64, stencil="star2d5p", method="hstencil", seed=0, config=None):
 
 
 # ---------------------------------------------------------------------------
-# Engine selection precedence: explicit kwarg > REPRO_ENGINE env > default.
+# Mode resolution: explicit value > REPRO_ENGINE/REPRO_STEADY env > default.
 # ---------------------------------------------------------------------------
 
 
 def test_default_engine_env(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert default_engine() == "compiled"
+    assert SimMode.resolve().engine == "compiled"
     monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert default_engine() == "reference"
+    assert SimMode.resolve().engine == "reference"
+    # An explicit value always beats the environment.
+    assert SimMode.resolve(engine="compiled").engine == "compiled"
 
 
 def test_timing_engine_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "reference")
     assert TimingEngine(LX2()).engine == "reference"
-    # An explicit kwarg always beats the environment.
-    assert TimingEngine(LX2(), engine="compiled").engine == "compiled"
+    # A constructed mode is already resolved: the environment is not read.
+    assert TimingEngine(LX2(), SimMode(engine="compiled")).engine == "compiled"
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     assert TimingEngine(LX2()).engine == "compiled"
-    with pytest.raises(ValueError):
-        TimingEngine(LX2(), engine="bogus")
+    with pytest.raises(ValueError, match="unknown engine"):
+        TimingEngine(LX2(), SimMode(engine="bogus"))
+    monkeypatch.setenv("REPRO_ENGINE", "bogus")
+    with pytest.raises(ValueError, match="unknown engine"):
+        SimMode.resolve()
 
 
 def test_experiment_runner_threads_engine(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert ExperimentRunner(LX2()).engine.engine == "reference"
-    assert ExperimentRunner(LX2(), engine="compiled").engine.engine == "compiled"
+    monkeypatch.setenv("REPRO_STEADY", "off")
+    runner = ExperimentRunner(LX2())
+    assert runner.mode == SimMode(engine="reference", steady="off")
+    assert runner.engine.mode is runner.mode
+    runner = ExperimentRunner(LX2(), engine="compiled", steady="on", sample=False)
+    assert runner.mode == SimMode(sample=False)
+    assert runner.engine.engine == "compiled"
+
+
+def test_sim_mode_resolve_is_idempotent(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    monkeypatch.setenv("REPRO_STEADY", "off")
+    for sample in (None, True, False):
+        mode = SimMode.resolve(sample=sample, artifact_dir=tmp_path)
+        assert SimMode.resolve(**dataclasses.asdict(mode)) == mode
+        # Even with the environment changed, resolved fields are explicit.
+        monkeypatch.setenv("REPRO_ENGINE", "compiled")
+        assert SimMode.resolve(**dataclasses.asdict(mode)) == mode
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+
+
+def test_sim_mode_is_a_frozen_hashable_value(tmp_path):
+    mode = SimMode(sample=1, artifact_dir=tmp_path)
+    # Normalized on construction: sample as the cache key records it, the
+    # store directory as a string.
+    assert mode.sample is True and mode.artifact_dir == str(tmp_path)
+    assert pickle.loads(pickle.dumps(mode)) == mode
+    assert len({mode, SimMode(sample=True, artifact_dir=str(tmp_path))}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mode.engine = "reference"
+    assert mode.describe() == {"engine": "compiled", "steady": "on", "sample": True}
 
 
 def test_run_kernel_precedence(monkeypatch):
@@ -122,7 +159,7 @@ def test_iters_bit_identical_across_engines_and_memo_modes(method, config, stenc
             _, kernel = _kernel(n=32, stencil=stencil, method=method, config=machine)
         except ValueError as exc:
             pytest.skip(f"{method} on {stencil}: {exc}")
-        engine = TimingEngine(machine, engine=engine_name, steady=steady)
+        engine = TimingEngine(machine, SimMode(engine=engine_name, steady=steady))
         results[(engine_name, steady)] = engine.run(kernel, iters=iters).to_dict()
     baseline = results[("reference", "off")]
     for key, counters in results.items():
@@ -149,7 +186,7 @@ def test_pass_memo_reaches_m4_in_cache_fixed_point(method, stencil):
             _, kernel = _kernel(stencil=stencil, method=method, config=machine)
         except ValueError as exc:
             pytest.skip(f"{method} on {stencil}: {exc}")
-        engine = TimingEngine(machine, engine="compiled", steady=steady)
+        engine = TimingEngine(machine, SimMode(engine="compiled", steady=steady))
         pc = engine.run(kernel, iters=iters)
         walked = iters - engine.steady_stats.elided_passes
         results[steady] = (pc.to_dict(), walked)
@@ -158,10 +195,40 @@ def test_pass_memo_reaches_m4_in_cache_fixed_point(method, stencil):
     assert results["on"][0] == results["off"][0]
 
 
+def test_certificate_refusal_builds_one_controller(monkeypatch):
+    """An in-cache refusal holds for the whole run: only the first pass
+    builds a steady controller, and counters and steady accounting equal
+    the walk of every band with ``steady="off"``."""
+    import repro.machine.steady as steady_mod
+
+    built = []
+    real = steady_mod.SteadyController
+
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(steady_mod, "SteadyController", Counting)
+    machine, iters = M4(), 16
+    runs = {}
+    for steady in ("on", "off"):
+        _, kernel = _kernel(stencil="box2d9p", config=machine)
+        engine = TimingEngine(machine, SimMode(steady=steady))
+        runs[steady] = (engine.run(kernel, iters=iters).to_dict(), engine.steady_stats)
+    on_stats = runs["on"][1]
+    assert len(built) == 1
+    assert on_stats.disabled == "in-cache"
+    # The first pass and every walked measured pass used to build one each.
+    assert 1 + iters - on_stats.elided_passes > 1
+    assert runs["on"][0] == runs["off"][0]
+    assert dataclasses.replace(on_stats, elided_passes=0, disabled="") == runs["off"][1]
+
+
 def test_iters_scales_points():
     _, kernel = _kernel(n=32)
-    one = TimingEngine(LX2(), steady="off").run(kernel, iters=1)
-    three = TimingEngine(LX2(), steady="off").run(kernel, iters=3)
+    one = TimingEngine(LX2(), SimMode(steady="off")).run(kernel, iters=1)
+    three = TimingEngine(LX2(), SimMode(steady="off")).run(kernel, iters=3)
     assert three.points == 3 * one.points
     assert three.cycles > one.cycles
 
@@ -175,7 +242,7 @@ def _warmed(config, passes=2):
     """A reference-engine pipe after ``passes`` whole passes, and a pass runner."""
     _, kernel = _kernel(config=config)
     pipe = PipelineModel(config)
-    engine = TimingEngine(config, engine="reference")
+    engine = TimingEngine(config, SimMode(engine="reference"))
     nest = kernel.loop_nest()
     run_band, _compiler = engine._band_machinery(kernel, pipe, nest)
 
