@@ -31,11 +31,19 @@ Probing relies on the :class:`~repro.isa.program.Kernel` contract that
 (or that emit unknown instruction types) are automatically and safely
 demoted to the reference walk — correctness never depends on the fit.
 
-With an artifact store active, each resolved class is persisted as its
-affine model and signature digest only, never its trace.  A later process
-trusts a stored entry after one live emit of the block being replayed
-reproduces both, and adopts that emitted trace as the template
-(:meth:`TraceCompiler._load_class`).
+Each class is fitted once per process.  A resolved class is kept
+trace-free in the process-wide program pool, keyed by the kernel's
+identity digest (:meth:`TraceCompiler._bundle_key_inputs`): its affine
+model (``key0``, ``addr0``, ``deltas``) and its interned signature, or
+the demotion verdict.  A later compiler of the same identity (the
+functional grid check after a timing run, the sampled run of an exact
+cell, a measure after a precompile) trusts an entry after one live emit
+of the block being replayed reproduces the signature exactly and the
+addresses the model predicts, and adopts that emitted trace as the
+template (:meth:`TraceCompiler._adopt`); a mismatch demotes the class.
+With an artifact store active, each resolved class is also persisted as
+its affine model and signature digest, never its trace, and a later
+process adopts it under the same one-emit check.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ from repro.machine import artifacts
 from repro.machine.compiled import (
     FunctionalProgram,
     TimingProgram,
+    intern_signature,
+    pooled_class_bundle,
     pooled_functional_program,
     pooled_timing_program,
     trace_addresses,
@@ -69,13 +79,14 @@ EDGE = 1
 MAX_EDGE = 2
 
 _UNBUILT = object()
-#: Sentinel distinguishing "no stored entry" from a stored demotion verdict.
+#: Sentinel distinguishing "no resolved entry" from a demotion verdict.
 _MISS = object()
 
 #: Process-wide template-compilation accounting, split into the buckets the
 #: cold-start guard measures: ``fit_seconds`` is live compile work (probe
 #: emits + affine fits), ``verify_seconds`` is the one live emit and check
-#: a stored class entry must pass before it is trusted.
+#: a resolved class entry (in-process or stored) must pass before it is
+#: trusted; ``loaded_classes`` counts the entries adopted either way.
 COMPILE_STATS: Dict[str, float] = {}
 
 def reset_compile_stats() -> None:
@@ -302,10 +313,10 @@ class TraceCompiler:
         self._classes: Dict[Tuple, Optional[RowTemplate]] = {}
         self.templated_blocks = 0
         self.fallback_blocks = 0
-        # Artifact-store persistence (optional).  The bundle digest needs
-        # the machine config — address models are config-independent but the
-        # probe verdicts and the downstream programs are not, and one digest
-        # per (kernel, machine) keeps the invalidation story uniform.
+        # The identity digest needs the machine config: address models are
+        # config-independent but the probe verdicts and the downstream
+        # programs are not, and one digest per (kernel, machine) keeps the
+        # invalidation story uniform.
         self.config = config if config is not None else getattr(kernel, "config", None)
         self.store = store if store is not None else artifacts.active_store()
         self.loaded_classes = 0
@@ -319,7 +330,22 @@ class TraceCompiler:
         self._stored_classes: Dict[str, object] = {}
         #: Read-modify-write image flushed on every newly resolved class.
         self._bundle_out: Optional[Dict] = None
-        if self.store is not None and self.config is not None:
+        inputs = self._bundle_key_inputs() if self.config is not None else None
+        if inputs is None:
+            # Kernels without an identity neither share nor persist classes.
+            self.store = None
+            self._shared = None
+            return
+        self._bundle_inputs = inputs
+        self._bundle_digest = artifacts.artifact_digest(inputs)
+        #: This identity's process-wide resolved classes; compilers with
+        #: other edge bounds classify differently and keep their own.
+        self._shared = pooled_class_bundle((self._bundle_digest, edge, self.max_edge))
+        if self._shared.edge is not None:
+            # Adopt the width earlier compilers widened to, as a stored
+            # bundle's is adopted below.
+            self.edge = self._shared.edge
+        if self.store is not None:
             self._load_bundle()
 
     # ------------------------------------------------------------------
@@ -390,12 +416,6 @@ class TraceCompiler:
             return None
 
     def _load_bundle(self) -> None:
-        inputs = self._bundle_key_inputs()
-        if inputs is None:
-            self.store = None
-            return
-        self._bundle_inputs = inputs
-        self._bundle_digest = artifacts.artifact_digest(inputs)
         data = self.store.load("templates", self._bundle_digest)
         if not isinstance(data, dict):
             return
@@ -411,7 +431,9 @@ class TraceCompiler:
         self._stored_classes = classes
 
     def _resolve_class(self, cls: Tuple, block: KernelBlock) -> Optional[RowTemplate]:
-        template = self._load_class(cls, block)
+        template = self._adopt_shared(cls, block)
+        if template is _MISS:
+            template = self._load_class(cls, block)
         if template is not _MISS:
             return template  # type: ignore[return-value]
         start = perf_counter()
@@ -424,18 +446,29 @@ class TraceCompiler:
         self._record_class(cls, template)
         return template
 
+    def _adopt_shared(self, cls: Tuple, block: KernelBlock):
+        """Adopt this process's entry for the class, or :data:`_MISS`."""
+        shared = self._shared
+        if shared is None or shared.edge != self.edge:
+            return _MISS
+        entry = shared.classes.get(cls, _MISS)
+        if entry is None:
+            self.loaded_classes += 1
+            COMPILE_STATS["loaded_classes"] += 1
+            return None
+        if entry is _MISS:
+            return _MISS
+        template = self._adopt(cls, block, *entry)
+        if template is not None and repr(cls) not in self._stored_classes:
+            self._store_class(cls, template)  # no-op without a store
+        return template
+
     def _load_class(self, cls: Tuple, block: KernelBlock):
         """Adopt a stored class entry, or :data:`_MISS` to compile live.
 
-        A stored entry holds no trace, only the class's affine address model
-        (``key0``/``addr0``/``deltas``) and signature digest.  It is trusted
-        after one live emit of the block actually being replayed: the
-        emitted trace must match the signature digest, and its addresses
-        must equal the model's prediction for the block's key.  That trace
-        then becomes the template — exactly what a live compile starting at
-        this block builds.  A failed check demotes the class permanently,
-        as the live path does on a failed probe, and persists the verdict.
-        A malformed entry falls back to a live compile.
+        A stored entry holds the class's affine address model and the
+        digest of its signature; :meth:`_adopt` checks it against one live
+        emit.  A malformed entry falls back to a live compile.
         """
         stored = self._stored_classes.get(repr(cls)) if self._stored_classes else None
         if stored is None:
@@ -443,27 +476,53 @@ class TraceCompiler:
         if stored == "demoted":
             self.loaded_classes += 1
             COMPILE_STATS["loaded_classes"] += 1
+            self._share_class(cls, None)
             return None
         try:
             key0 = tuple(stored["key0"])
-            expected = np.asarray(stored["addr0"], dtype=np.int64)
+            addr0 = np.asarray(stored["addr0"], dtype=np.int64)
             deltas = tuple(
                 (int(d), np.asarray(vals, dtype=np.int64)) for d, vals in stored["deltas"]
             )
             sig_digest = stored["sig"]
         except (KeyError, TypeError, ValueError):
             return _MISS
-        if len(key0) != len(self.shape) or any(
-            delta.shape != expected.shape or not 0 <= d < len(key0) for d, delta in deltas
+        if not isinstance(sig_digest, str) or len(key0) != len(self.shape) or any(
+            delta.shape != addr0.shape or not 0 <= d < len(key0) for d, delta in deltas
         ):
             return _MISS
+        template = self._adopt(cls, block, key0, addr0, deltas, sig_digest)
+        if template is not None:
+            self._share_class(cls, template)
+        return template
+
+    def _adopt(self, cls, block, key0, addr0, deltas, signature) -> Optional[RowTemplate]:
+        """Trust a resolved class after one live emit of ``block``.
+
+        The entry holds no trace, only the class's affine address model and
+        its ``signature`` (an interned signature in-process, its digest in
+        a stored entry).  The live emit of the block actually being
+        replayed must reproduce the signature exactly, and its addresses
+        must equal the model's prediction for the block's key.  That trace
+        then becomes the template — exactly what a live compile starting
+        at this block builds.  A failed check demotes the class, as the
+        live path does on a failed probe, and records the verdict.
+        """
         start = perf_counter()
+        expected = addr0
         for d, delta in deltas:
             expected = expected + delta * (block.key[d] - key0[d])
         live = self.kernel.emit(block)
-        signature = trace_signature(live)
+        live_sig = trace_signature(live)
         addrs = trace_addresses(live)
-        ok = artifacts.signature_digest(signature) == sig_digest and addrs == expected.tolist()
+        if isinstance(signature, str):
+            sig_digest: Optional[str] = signature
+            ok = artifacts.signature_digest(live_sig) == signature
+            signature = live_sig
+        else:
+            sig_digest = None
+            ok = live_sig == signature
+        ok = ok and addrs == expected.tolist()
         elapsed = perf_counter() - start
         self.verify_seconds += elapsed
         COMPILE_STATS["verify_seconds"] += elapsed
@@ -482,7 +541,30 @@ class TraceCompiler:
         return template
 
     def _record_class(self, cls: Tuple, template: Optional[RowTemplate]) -> None:
-        """Write a freshly resolved class (or demotion verdict) back."""
+        """Publish a freshly resolved class (or demotion verdict)."""
+        self._share_class(cls, template)
+        self._store_class(cls, template)
+
+    def _share_class(self, cls: Tuple, template: Optional[RowTemplate]) -> None:
+        """Keep a resolved class in this identity's process-wide bundle."""
+        shared = self._shared
+        if shared is None:
+            return
+        if shared.edge != self.edge:
+            if shared.edge is not None and shared.edge > self.edge:
+                return  # a compiler that widened further owns the bundle
+            shared.edge = self.edge
+            shared.classes = {}
+        if template is None:
+            shared.classes[cls] = None
+            return
+        # The interned signature is the one the program pool keys on, so
+        # the entry adds no copy of it.
+        template.signature = intern_signature(template.signature)
+        shared.classes[cls] = (template.key0, template.addr0, template.deltas, template.signature)
+
+    def _store_class(self, cls: Tuple, template: Optional[RowTemplate]) -> None:
+        """Write a resolved class (or demotion verdict) to the artifact store."""
         if self.store is None or self._bundle_digest is None:
             return
         if template is None:

@@ -26,12 +26,35 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.machine.config import CacheGeometry, MachineConfig
 
 #: Memory access levels, in increasing latency order.
 L1, L2, MEM = 1, 2, 3
+
+
+class OutsideNarrowedClone(Exception):
+    """A narrowed clone was asked for a cache set it does not hold."""
+
+
+class _Untouchable:
+    """Stands in for every cache set a narrowed clone leaves out.
+
+    Membership, item access, length and iteration all raise
+    :class:`OutsideNarrowedClone`, so an access its owner did not predict
+    fails loudly instead of reading an empty set.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *_args):
+        raise OutsideNarrowedClone
+
+    __contains__ = __getitem__ = __setitem__ = __delitem__ = __len__ = __iter__ = _refuse
+
+
+UNTOUCHABLE = _Untouchable()
 
 
 @dataclass
@@ -103,6 +126,8 @@ class CacheLevel:
         self._tick = 0
         self._dirty: set = set()
         self.stats = CacheStats()
+        #: Indices of the sets a narrowed clone holds; ``None``: all of them.
+        self.held: Optional[Sequence[int]] = None
 
     def _set_index(self, line: int) -> int:
         return line % self.num_sets
@@ -150,18 +175,28 @@ class CacheLevel:
         """Non-destructive membership check (no LRU update)."""
         return line in self._sets[line % self.num_sets]
 
-    def clone(self) -> "CacheLevel":
+    def clone(self, held: Optional[Sequence[int]] = None) -> "CacheLevel":
         """Independent copy of all replacement state and statistics.
 
         The columnar replay's probe verification runs a candidate block on
-        a cloned hierarchy so a mismatch never corrupts the real one.
+        a cloned hierarchy so a mismatch never corrupts the real one.  With
+        ``held``, only those sets are copied (a *narrowed* clone); every
+        other set is :data:`UNTOUCHABLE`.  Tick, dirty set and statistics
+        are always copied whole.
         """
         out = CacheLevel.__new__(CacheLevel)
         out.geometry = self.geometry
         out.name = self.name
         out.num_sets = self.num_sets
         out.assoc = self.assoc
-        out._sets = [dict(ways) for ways in self._sets]
+        if held is None:
+            out._sets = [dict(ways) for ways in self._sets]
+        else:
+            sets = self._sets
+            out._sets = narrowed = [UNTOUCHABLE] * self.num_sets
+            for s in held:
+                narrowed[s] = dict(sets[s])
+        out.held = held
         out._tick = self._tick
         out._dirty = set(self._dirty)
         out.stats = self.stats.copy()
@@ -325,13 +360,18 @@ class CacheHierarchy:
 
     # -- maintenance --------------------------------------------------------------
 
-    def clone(self) -> "CacheHierarchy":
-        """Independent copy of both levels and the DRAM traffic counters."""
+    def clone(
+        self,
+        l1_held: Optional[Sequence[int]] = None,
+        l2_held: Optional[Sequence[int]] = None,
+    ) -> "CacheHierarchy":
+        """Independent copy of both levels and the DRAM traffic counters
+        (narrowed to the given sets per level, see :meth:`CacheLevel.clone`)."""
         out = CacheHierarchy.__new__(CacheHierarchy)
         out.config = self.config
         out.line_words = self.line_words
-        out.l1 = self.l1.clone()
-        out.l2 = self.l2.clone()
+        out.l1 = self.l1.clone(l1_held)
+        out.l2 = self.l2.clone(l2_held)
         out.mem_lines_read = self.mem_lines_read
         out.mem_lines_written = self.mem_lines_written
         out.static_watch = self.static_watch

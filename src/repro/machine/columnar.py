@@ -62,6 +62,7 @@ warmed state instead of rebuilding it per height.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +79,7 @@ from repro.machine.compiled import (
     SLOT_OF,
     TimingProgram,
 )
+from repro.machine.cache import CacheLevel, OutsideNarrowedClone
 from repro.machine.config import MachineConfig
 from repro.machine.pipeline import PipelineModel
 from repro.machine.prefetcher import LINES_PER_PAGE, _Stream
@@ -85,6 +87,11 @@ from repro.machine.prefetcher import LINES_PER_PAGE, _Stream
 #: Columnar-replayed blocks of a class between defensive periodic re-probes
 #: (on top of the representative / steady-state / band-boundary probes).
 REPROBE_INTERVAL = 256
+
+#: A probe clones (and compares) a cache level whole once more than this
+#: share of its sets is in the probed block's reach: copying set by set
+#: then costs more than the bulk copy saves.  Both are equally strict.
+NARROW_MAX_FRACTION = 0.5
 
 #: Scoreboard-recurrence memoization granularity, in program steps.  Out of
 #: cache the *global* per-block miss pattern rarely recurs (different lines
@@ -109,6 +116,17 @@ def _pipes_key(vals: List[int], f0: int) -> Tuple[int, ...]:
         return ((p - f0) if p > f0 else -1,)
     stale = sorted({p for p in vals if p <= f0})
     return tuple((p - f0) if p > f0 else stale.index(p) - n for p in vals)
+
+
+def _held_sets_match(clone: CacheLevel, level: CacheLevel) -> bool:
+    """Whether ``clone`` holds the same sets as ``level`` wherever it holds one."""
+    held = clone.held
+    if held is None:
+        return clone._sets == level._sets
+    if not held:
+        return True
+    pick = itemgetter(*held)
+    return pick(clone._sets) == pick(level._sets)
 
 
 class _MemPlan:
@@ -357,6 +375,9 @@ class ColumnarReplayer:
         self._classes: Dict[RowTemplate, _ClassState] = {}
         self._band_no = 0
         self._line_words = config.l1.line_bytes // 8
+        pf = pipe.prefetcher
+        #: Line offsets a demand line's stream may fill (see :meth:`_reach`).
+        self._ahead = np.arange(pf.depth + 1 if pf.enabled and pf.num_streams > 0 else 1)
         self._penalty = (
             0,
             0,
@@ -488,6 +509,7 @@ class ColumnarReplayer:
                 ok = self._probe(
                     template, program, plan, state, probe,
                     entries[i + k][1], starts_l[k], firsts_l[k], lasts_l[k],
+                    self._reach(firsts[k], lasts[k]),
                 )
                 if not ok:
                     # Demoted: the scalar walk already advanced the real
@@ -528,6 +550,7 @@ class ColumnarReplayer:
         S_row: List[int],
         F_row: List[int],
         L_row: List[int],
+        reach: Tuple[List[int], List[int]],
     ) -> bool:
         """Columnar on a clone vs scalar on the real pipe; demote on mismatch.
 
@@ -535,36 +558,93 @@ class ColumnarReplayer:
         result is already in place whichever way the comparison goes; on a
         match the clone is byte-for-byte the same state, so continuing
         columnar afterwards is seamless.
+
+        The clone is *narrowed* to ``reach``, the L1 and L2 sets the block
+        can touch (:meth:`_reach`): only those are copied and compared.
+        The scalar walk touches no other set, and the columnar walk cannot
+        touch one either: every other set of the clone is
+        :data:`~repro.machine.cache.UNTOUCHABLE`, so an access outside the
+        prediction fails the probe instead of passing unseen.
         """
         self.verifications += 1
         pipe = self.pipe
         self._writeback_slots()
         self._slots_stale = True
 
-        clone = pipe.clone()
+        clone = pipe.clone(*reach)
         clone_slots = [0] * N_SLOTS
         slot_of_get = SLOT_OF.get
         for key, val in clone._ready.items():
             idx = slot_of_get(key)
             if idx is not None:
                 clone_slots[idx] = val
-        levels = self._phase_memory(plan, S_row, F_row, L_row, clone)
-        self._phase_scoreboard(program, plan, levels, clone, clone_slots)
-        ready = clone._ready
-        for i in range(N_SLOTS):
-            v = clone_slots[i]
-            if v:
-                ready[SCOREBOARD_KEYS[i]] = v
+        try:
+            levels = self._phase_memory(plan, S_row, F_row, L_row, clone)
+        except OutsideNarrowedClone:
+            escaped = True
+        else:
+            escaped = False
+            self._phase_scoreboard(program, plan, levels, clone, clone_slots)
+            ready = clone._ready
+            for i in range(N_SLOTS):
+                v = clone_slots[i]
+                if v:
+                    ready[SCOREBOARD_KEYS[i]] = v
 
         pipe.process_template(program, addrs)
         self.scalar_blocks += 1
 
-        if self._columnar_matches(clone, pipe):
+        if not escaped and self._columnar_matches(clone, pipe):
             state.probed.add(kind)
             state.since_probe = 0
             return True
         self._demote(template, state)
         return False
+
+    def _reach(
+        self, firsts: np.ndarray, lasts: np.ndarray
+    ) -> Tuple[Optional[List[int]], Optional[List[int]]]:
+        """The L1 and L2 sets one block can touch, as probe clone bounds.
+
+        ``firsts``/``lasts`` bound the lines of each of the block's memops
+        (demand accesses and software prefetches).  The scalar walk reaches
+        a cache set through exactly these channels:
+
+        * the memops' own lines, in both levels;
+        * hardware-prefetch fills: a demand line advances at most one
+          stream, which fills at most ``depth`` lines ahead of it;
+        * dirty L1 victims: a fill of an L1 set may write back any dirty
+          line resident in it, into that line's L2 set.  Lines the block
+          dirties itself are its own memop lines.
+
+        An L2 eviction stays inside the set being filled.  Per level the
+        result is the ascending set indices, or ``None`` (clone and compare
+        the whole level) when more than :data:`NARROW_MAX_FRACTION` of its
+        sets are in reach and narrowing would cost more than it saves.
+        """
+        hierarchy = self.pipe.hierarchy
+        l1 = hierarchy.l1
+        n1 = l1.num_sets
+        n2 = hierarchy.l2.num_sets
+        lines = np.concatenate((firsts, lasts))
+        if int((lasts - firsts).max()) > 1:
+            wide = np.flatnonzero(lasts - firsts > 1)
+            spans = [np.arange(firsts[i], lasts[i] + 1) for i in wide.tolist()]
+            lines = np.concatenate([lines] + spans)
+        lines = (lines[:, None] + self._ahead).ravel()
+        in_l1 = np.zeros(n1, dtype=bool)
+        in_l1[lines % n1] = True
+        in_l2 = np.zeros(n2, dtype=bool)
+        in_l2[lines % n2] = True
+        dirty = l1._dirty
+        if dirty:
+            victims = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+            in_l2[victims[in_l1[victims % n1]] % n2] = True
+        held = []
+        for mask, n in ((in_l1, n1), (in_l2, n2)):
+            sets = np.flatnonzero(mask)
+            held.append(None if len(sets) > NARROW_MAX_FRACTION * n else sets.tolist())
+        return held[0], held[1]
 
     @staticmethod
     def _columnar_matches(clone: PipelineModel, pipe: PipelineModel) -> bool:
@@ -577,11 +657,13 @@ class ColumnarReplayer:
         normalized ``rebased_signature`` tuples.  Cache sets compare with dict
         ``==``, which ignores key order; that is still order-exact because
         every set keeps its keys in ascending-tick (LRU) order and ticks are
-        unique, so equal line->tick maps have equal orders.  Stream-table
-        order matters (LRU eviction) and carries no ticks, hence the
-        item-list comparison.  ``static_watch_hits`` decides whether a
-        steady verification window engages, so it is compared like every
-        other counter.
+        unique, so equal line->tick maps have equal orders.  A narrowed
+        clone's sets are compared where it holds them (see
+        :meth:`_probe`); ticks, dirty sets and statistics always whole.
+        Stream-table order matters (LRU eviction) and carries no ticks,
+        hence the item-list comparison.  ``static_watch_hits`` decides
+        whether a steady verification window engages, so it is compared
+        like every other counter.
         """
         ch, ph = clone.hierarchy, pipe.hierarchy
         cf, pf = clone.prefetcher, pipe.prefetcher
@@ -601,11 +683,11 @@ class ColumnarReplayer:
             and ch.mem_lines_read == ph.mem_lines_read
             and ch.mem_lines_written == ph.mem_lines_written
             and ch.l1._tick == ph.l1._tick
-            and ch.l1._sets == ph.l1._sets
+            and _held_sets_match(ch.l1, ph.l1)
             and ch.l1._dirty == ph.l1._dirty
             and ch.l1.stats == ph.l1.stats
             and ch.l2._tick == ph.l2._tick
-            and ch.l2._sets == ph.l2._sets
+            and _held_sets_match(ch.l2, ph.l2)
             and ch.l2._dirty == ph.l2._dirty
             and ch.l2.stats == ph.l2.stats
             and list(cf._streams.items()) == list(pf._streams.items())

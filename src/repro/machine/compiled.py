@@ -146,6 +146,27 @@ def instruction_signature(ins: Instruction) -> Tuple:
     return (cls, _sig_getter(cls)(ins))
 
 
+class TraceSignature(tuple):
+    """A trace signature: a plain tuple that computes its hash once.
+
+    One signature is hashed several times (interned for the class
+    bundles, then keyed into the program pool), and a tuple rehashes
+    every instruction's fields each time, register handles included.
+    The cached hash is process-local, so pickling drops it.
+    """
+
+    _hash: Optional[int] = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = tuple.__hash__(self)
+        return h
+
+    def __reduce__(self):
+        return (TraceSignature, (tuple(self),))
+
+
 def trace_signature(trace: Sequence[Instruction]) -> Tuple:
     """Structural identity of a whole trace (addresses masked out)."""
     getters = _SIG_GETTERS
@@ -156,7 +177,7 @@ def trace_signature(trace: Sequence[Instruction]) -> Tuple:
         if getter is None:
             getter = _sig_getter(cls)
         out.append((cls, getter(ins)))
-    return tuple(out)
+    return TraceSignature(out)
 
 
 def trace_addresses(trace: Sequence[Instruction]) -> List[int]:
@@ -442,6 +463,11 @@ class ProgramPool:
     :class:`~repro.machine.artifacts.ArtifactStore` (when one is active)
     before lowering live; live builds are written back so later processes
     skip the build entirely.
+
+    The pool also holds the resolved shape classes of every kernel identity
+    (:class:`ClassBundle`, LRU under the same capacity) and the interned
+    signatures their entries reference, so :func:`clear_program_pool`
+    forgets both with the programs.
     """
 
     def __init__(self, capacity: int = DEFAULT_POOL_CAPACITY) -> None:
@@ -449,6 +475,8 @@ class ProgramPool:
         self._entries: "OrderedDict[Tuple, Tuple[MachineConfig, Optional[TimingProgram]]]" = (
             OrderedDict()
         )
+        self._bundles: "OrderedDict[Tuple, ClassBundle]" = OrderedDict()
+        self._signatures: Dict[Tuple, Tuple] = {}
         self.hits = 0
         self.misses = 0
         self.builds = 0
@@ -516,8 +544,33 @@ class ProgramPool:
                 self.store_writes += 1
         return program
 
+    def class_bundle(self, key: Tuple) -> "ClassBundle":
+        """The shared :class:`ClassBundle` of one kernel identity."""
+        bundle = self._bundles.get(key)
+        if bundle is not None:
+            self._bundles.move_to_end(key)
+            return bundle
+        bundle = self._bundles[key] = ClassBundle()
+        while len(self._bundles) > self.capacity:
+            self._bundles.popitem(last=False)
+        return bundle
+
+    def intern(self, signature: Tuple) -> Tuple:
+        """The one shared object equal to ``signature``.
+
+        Shape classes of one kernel often share a signature; interning
+        keeps a bundle entry from holding its own copy of one.  The table
+        is dropped when it outgrows the pool, which only costs sharing.
+        """
+        canonical = self._signatures.setdefault(signature, signature)
+        if len(self._signatures) > 4 * self.capacity:
+            self._signatures = {signature: canonical}
+        return canonical
+
     def clear(self, reset_stats: bool = False) -> None:
         self._entries.clear()
+        self._bundles.clear()
+        self._signatures.clear()
         if reset_stats:
             self.hits = self.misses = self.builds = self.evictions = 0
             self.store_hits = self.store_writes = 0
@@ -538,6 +591,22 @@ class ProgramPool:
             "functional_builds": self.functional_builds,
             "functional_store_hits": self.functional_store_hits,
         }
+
+
+class ClassBundle:
+    """The resolved shape classes of one kernel identity, shared in-process.
+
+    ``classes`` maps a shape class to ``(key0, addr0, deltas, signature)``,
+    its trace-free affine model, or to ``None`` when the class is demoted.
+    Every entry was resolved at edge width ``edge`` (``None`` while the
+    bundle is empty).  See :class:`repro.kernels.template.TraceCompiler`.
+    """
+
+    __slots__ = ("edge", "classes")
+
+    def __init__(self) -> None:
+        self.edge: Optional[int] = None
+        self.classes: Dict[Tuple, Optional[Tuple]] = {}
 
 
 _POOL = ProgramPool()
@@ -584,6 +653,16 @@ def pooled_functional_program(
             inputs={"signature": sig_digest},
         )
     return program
+
+
+def pooled_class_bundle(key: Tuple) -> ClassBundle:
+    """The process-wide :class:`ClassBundle` for a kernel identity key."""
+    return _POOL.class_bundle(key)
+
+
+def intern_signature(signature: Tuple) -> Tuple:
+    """The process-wide shared object equal to ``signature``."""
+    return _POOL.intern(signature)
 
 
 def program_pool_stats() -> Dict:

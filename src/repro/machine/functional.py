@@ -271,7 +271,8 @@ class FunctionalEngine:
         from repro.kernels.template import TraceCompiler
         from repro.machine.batched import BatchReplayer
 
-        compiler = TraceCompiler(kernel)
+        nest = kernel.loop_nest()
+        compiler = TraceCompiler(kernel, nest=nest)
         replayer = BatchReplayer(self)
         pending_program = None
         pending_addrs: list = []
@@ -284,7 +285,7 @@ class FunctionalEngine:
                 pending_addrs.clear()
 
         self.execute_trace(kernel.preamble())
-        for block in kernel.loop_nest():
+        for block in nest:
             entry = compiler.lookup(block)
             if entry is not None:
                 template, addrs = entry

@@ -385,14 +385,20 @@ class PipelineModel:
         self.useful_flops += program.useful_flops
         self.sw_prefetches += program.n_prfm
 
-    def clone(self) -> "PipelineModel":
+    def clone(
+        self,
+        l1_held: Optional[Sequence[int]] = None,
+        l2_held: Optional[Sequence[int]] = None,
+    ) -> "PipelineModel":
         """Independent deep copy of all behavioural state and counters.
 
         The clone shares nothing mutable with the original: the columnar
         replay's probe verification advances a clone down the candidate
         path while the original takes the scalar walk, then compares.
+        ``l1_held``/``l2_held`` narrow the cache copy to those sets
+        (:meth:`~repro.machine.cache.CacheLevel.clone`).
         """
-        hierarchy = self.hierarchy.clone()
+        hierarchy = self.hierarchy.clone(l1_held, l2_held)
         out = PipelineModel(self.config, hierarchy, self.prefetcher.clone(hierarchy))
         out._port_free = {port: list(pipes) for port, pipes in self._port_free.items()}
         out._ready = dict(self._ready)

@@ -97,6 +97,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.machine import artifacts
 from repro.machine.config import MachineConfig
 from repro.machine.pipeline import PipelineModel
@@ -166,6 +168,42 @@ class BandCertificate:
     span_lines: int
 
 
+def _band_operands(template) -> Tuple[Tuple[int, ...], bool, Tuple, Tuple]:
+    """A template's memory operands, split by band motion (block-invariant).
+
+    Returns ``(moves, static_store, moving, static)``: ``moves`` lists the
+    nonzero band-dimension delta of every band-moving operand in program
+    order up to the first static store, ``static_store`` says whether one
+    exists, and ``moving``/``static`` hold ``(addr_index, lo, hi)`` arrays
+    with each operand's word extent relative to its rebased address.  An
+    operand's classification and relative extent depend only on the
+    instruction, so one walk of the template serves every block of its
+    class (:func:`repro.kernels.template.operand_extents` rebases by the
+    same shift).
+    """
+    from repro.kernels.template import operand_extents
+
+    delta0 = next((delta for d, delta in template.deltas if d == 0), None)
+    addr0 = template._addr0_list
+    moves: List[int] = []
+    static_store = False
+    moving: List[Tuple[int, int, int]] = []
+    static: List[Tuple[int, int, int]] = []
+    for aidx, lo, hi, writes in operand_extents(template.trace, addr0):
+        v = 0 if delta0 is None else int(delta0[aidx])
+        if v == 0 and writes:
+            static_store = True
+        if not static_store and v:
+            moves.append(v)
+        base = addr0[aidx]
+        (moving if v else static).append((aidx, lo - base, hi - base))
+
+    def arrays(ops):
+        return tuple(np.asarray(col, dtype=np.int64) for col in zip(*ops)) if ops else ()
+
+    return tuple(moves), static_store, arrays(moving), arrays(static)
+
+
 def build_certificate(
     compiler, bands, config: MachineConfig
 ) -> Tuple[Optional[BandCertificate], str]:
@@ -174,9 +212,12 @@ def build_certificate(
     Must be called only after at least one interior band has executed, so
     every interior shape class is already resolved — ``compiler.lookup``
     then never triggers new probe emits or edge widening.
-    """
-    from repro.kernels.template import operand_extents
 
+    The checks read the representative band ``bands[edge]`` block by
+    block, in order, with each template's operands classified once
+    (:func:`_band_operands`).  The moving span is computed, and in-cache
+    cells refused, before any static line is collected.
+    """
     edge = compiler.edge
     B = len(bands)
     if B < MIN_BANDS or B <= 2 * edge + 2:
@@ -193,9 +234,8 @@ def build_certificate(
 
     line_words = config.l1.line_bytes // 8
     d_words: Optional[int] = None
-    static_lines: set = set()
-    moving_lo: Optional[int] = None
-    moving_hi: Optional[int] = None
+    # template -> (operand split, address vectors of its blocks)
+    classes: Dict[object, Tuple[Tuple, List]] = {}
     for block in bands[edge]:
         entry = compiler.lookup(block)
         if entry is None:
@@ -203,29 +243,21 @@ def build_certificate(
         template, addrs = entry
         if not template.two_frame_clean:
             return None, "nonuniform-template"
-        delta0 = None
-        for d, delta in template.deltas:
-            if d == 0:
-                delta0 = delta
-                break
-        for aidx, lo, hi, writes in operand_extents(template.trace, addrs):
-            v = 0 if delta0 is None else int(delta0[aidx])
-            first = lo // line_words
-            last = (hi - 1) // line_words
-            if v == 0:
-                if writes:
-                    # A written static line would turn dirty and eventually
-                    # wash into L2, breaking the all-moving-L2 rotation.
-                    return None, "static-store"
-                static_lines.update(range(first, last + 1))
-            else:
-                move = v * step
-                if d_words is None:
-                    d_words = move
-                elif move != d_words:
-                    return None, "mixed-strides"
-                moving_lo = first if moving_lo is None else min(moving_lo, first)
-                moving_hi = last if moving_hi is None else max(moving_hi, last)
+        known = classes.get(template)
+        if known is None:
+            known = classes[template] = (_band_operands(template), [])
+        moves, static_store, _moving, _static = known[0]
+        for v in moves:
+            move = v * step
+            if d_words is None:
+                d_words = move
+            elif move != d_words:
+                return None, "mixed-strides"
+        if static_store:
+            # A written static line would turn dirty and eventually wash
+            # into L2, breaking the all-moving-L2 rotation.
+            return None, "static-store"
+        known[1].append(addrs)
     if compiler.edge != edge:
         return None, "edge-widened"
     if d_words is None or d_words <= 0:
@@ -234,8 +266,22 @@ def build_certificate(
         return None, "unaligned-stride"
     d_lines = d_words // line_words
 
+    def lines(ops, rows):
+        """First and last line of every operand of every block."""
+        aidx, lo, hi = ops
+        addrs = np.asarray(rows, dtype=np.int64)[:, aidx]
+        return (addrs + lo) // line_words, (addrs + hi - 1) // line_words
+
     # Moving span over every interior band (the steady window only ever
     # covers interior bands; prologue/epilogue always run live).
+    moving_lo: Optional[int] = None
+    moving_hi: Optional[int] = None
+    for (_moves, _store, moving, _static), rows in classes.values():
+        if moving:
+            first, last = lines(moving, rows)
+            lo, hi = int(first.min()), int(last.max())
+            moving_lo = lo if moving_lo is None else min(moving_lo, lo)
+            moving_hi = hi if moving_hi is None else max(moving_hi, hi)
     span_lo = int(moving_lo)
     span_hi = int(moving_hi) + (B - 1 - 2 * edge) * d_lines
     span_lines = span_hi - span_lo + 1
@@ -243,6 +289,12 @@ def build_certificate(
     if span_lines <= SPAN_L2_FACTOR * l2_capacity:
         return None, "in-cache"
 
+    static_lines: set = set()
+    for (_moves, _store, _moving, static), rows in classes.values():
+        if static:
+            first, last = lines(static, rows)
+            for f, l in set(zip(first.ravel().tolist(), last.ravel().tolist())):
+                static_lines.update(range(f, l + 1))
     static_pages = {ln // LINES_PER_PAGE for ln in static_lines}
     page_lo = span_lo // LINES_PER_PAGE - PAGE_MARGIN
     page_hi = span_hi // LINES_PER_PAGE + PAGE_MARGIN
@@ -493,12 +545,10 @@ def steady_record_key(compiler) -> Optional[str]:
     fingerprints, options, shape) under its own ``kind`` so a steady record
     invalidates on exactly the same inputs as the templates it rides on.
     """
-    inputs = compiler._bundle_key_inputs()
+    inputs = compiler._bundle_inputs
     if inputs is None:
         return None
-    inputs = dict(inputs)
-    inputs["kind"] = "steady"
-    return artifacts.artifact_digest(inputs)
+    return artifacts.artifact_digest(dict(inputs, kind="steady"))
 
 
 # -- the controller -----------------------------------------------------------
@@ -536,7 +586,7 @@ class SteadyController:
         bands,
         config: MachineConfig,
         *,
-        record: Optional[Dict] = None,
+        load_record: Optional[Callable[[], Optional[Dict]]] = None,
         on_record: Optional[Callable[[Dict], None]] = None,
         stats: Optional[SteadyStats] = None,
         verdicts: Optional[Dict[int, tuple]] = None,
@@ -546,7 +596,10 @@ class SteadyController:
         self.bands = bands
         self.B = len(bands)
         self.config = config
-        self.record = record
+        #: Called once, when the first certificate is set; a verified
+        #: record lets the run skip detection (see :meth:`_ensure_cert`).
+        self.load_record = load_record
+        self.record: Optional[Dict] = None
         self.on_record = on_record
         self.stats = stats if stats is not None else SteadyStats()
         self.verdicts = verdicts if verdicts is not None else {}
@@ -604,6 +657,8 @@ class SteadyController:
             self._disable(reason)
             return False
         self.cert = cert
+        if self.load_record is not None:
+            self.record = self.load_record()
         if self.record is not None:
             r = self.record
             if (

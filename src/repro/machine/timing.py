@@ -13,6 +13,7 @@ made of) is exercised faithfully.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
@@ -258,19 +259,23 @@ class TimingEngine:
         return replayer.process_band, replayer.compiler
 
     def _steady_controller(
-        self, pipe: PipelineModel, compiler, bands, stats, verdicts, key
+        self, pipe: PipelineModel, compiler, bands, stats, verdicts, record_key
     ):
         """Build one pass's steady controller, wired to the record caches.
 
         ``verdicts`` is the run's certificate memo, shared by every pass of
-        one kernel (see ``SteadyController``); ``key`` is the kernel's
-        :func:`~repro.machine.steady.steady_record_key`, taken once per run.
+        one kernel (see ``SteadyController``); ``record_key`` returns the
+        kernel's :func:`~repro.machine.steady.steady_record_key`, memoized
+        per run.  It is called only on the first record lookup or store,
+        which follow a certificate, so a refused cell takes no key.
         """
         from repro.machine.artifacts import active_store
         from repro.machine.steady import SteadyController
 
-        record = None
-        if key is not None:
+        def load_record():
+            key = record_key()
+            if key is None:
+                return None
             record = self._steady_records.get(key)
             if record is None:
                 store = active_store()
@@ -278,8 +283,10 @@ class TimingEngine:
                     record = store.load("steady", key)
                     if record is not None:
                         self._steady_records[key] = record
+            return record
 
         def on_record(rec) -> None:
+            key = record_key()
             if key is None:
                 return
             self._steady_records[key] = rec
@@ -292,7 +299,7 @@ class TimingEngine:
             compiler,
             bands,
             self.config,
-            record=record,
+            load_record=load_record,
             on_record=on_record,
             stats=stats,
             verdicts=verdicts,
@@ -322,7 +329,7 @@ class TimingEngine:
         band_steady = use_steady and len(bands) >= MIN_BANDS
         if use_steady and not band_steady:
             stats.disabled = "too-few-bands"
-        key = steady_record_key(compiler) if band_steady else None
+        record_key = functools.cache(functools.partial(steady_record_key, compiler))
 
         def one_pass() -> None:
             pipe.process_trace(kernel.preamble())
@@ -333,7 +340,7 @@ class TimingEngine:
             verdict = verdicts.get(compiler.edge) if band_steady else None
             if band_steady and (verdict is None or verdict[0] is not None):
                 controller = self._steady_controller(
-                    pipe, compiler, bands, stats, verdicts, key
+                    pipe, compiler, bands, stats, verdicts, record_key
                 )
             k = 0
             nbands = len(bands)
@@ -408,19 +415,21 @@ class TimingEngine:
         stats_list = [SteadyStats() for _ in kernels]
         self.lockstep_steady_stats = stats_list
         verdicts_list = [{} for _ in kernels]
+        key_list = [
+            functools.cache(functools.partial(steady_record_key, core[5])) for core in cores
+        ]
         use_steady = self.mode.steady == "on" and self.mode.engine == "compiled"
 
         def one_pass() -> None:
             controllers = []
-            for (kernel, pipe, _nest, bands, _rb, compiler), stats, verdicts in zip(
-                cores, stats_list, verdicts_list
+            for (kernel, pipe, _nest, bands, _rb, compiler), stats, verdicts, record_key in zip(
+                cores, stats_list, verdicts_list, key_list
             ):
                 pipe.process_trace(kernel.preamble())
                 ctrl = None
                 if use_steady and compiler is not None:
                     ctrl = self._steady_controller(
-                        pipe, compiler, bands, stats, verdicts,
-                        steady_record_key(compiler),
+                        pipe, compiler, bands, stats, verdicts, record_key
                     )
                 controllers.append(ctrl)
             lock_dead = not use_steady or any(c is None for c in controllers)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -541,3 +542,188 @@ class TestSteadySelection:
         engine = TimingEngine(config, SimMode(engine="compiled"))
         with pytest.raises(ValueError, match=r"sample=False \(or --no-sample\)"):
             engine.run(kernel, sample=True, iters=2)
+
+
+# ---------------------------------------------------------------------------
+# Certificate cost: refusals before static lines, keys only when needed
+# ---------------------------------------------------------------------------
+
+#: The perfbench cells: the 21 in-cache cells (64², Fig. 12/17) and the 6
+#: out-of-cache cells (512², Fig. 15/18), which that benchmark runs both
+#: exact and band-sampled.
+INCACHE_CELLS = [
+    (machine, method, stencil)
+    for machine, methods in (
+        ("LX2", ("vector-only", "matrix-only", "hstencil", "auto")),
+        ("M4", ("matrix-only", "hstencil", "auto")),
+    )
+    for stencil in ("star2d9p", "box2d9p", "box2d25p")
+    for method in methods
+]
+OOC_CELLS = [
+    (machine, method, "box2d25p")
+    for machine, methods in (
+        ("LX2", ("matrix-only", "hstencil-noprefetch", "hstencil-prefetch")),
+        ("M4", ("hstencil-nosched", "hstencil-noprefetch", "hstencil-prefetch")),
+    )
+    for method in methods
+]
+
+
+def _operand_walk_certificate(compiler, bands, config):
+    """The certificate computed operand by operand over every block of
+    the representative band: the oracle ``build_certificate`` must equal."""
+    from repro.kernels.template import operand_extents
+    from repro.machine.prefetcher import LINES_PER_PAGE
+
+    edge = compiler.edge
+    B = len(bands)
+    if B < steady_mod.MIN_BANDS or B <= 2 * edge + 2:
+        return None, "too-few-bands"
+    keys = []
+    for band in bands:
+        k0s = {b.key[0] for b in band}
+        if len(k0s) != 1:
+            return None, "mixed-band-keys"
+        keys.append(k0s.pop())
+    step = keys[1] - keys[0]
+    if step <= 0 or any(keys[i + 1] - keys[i] != step for i in range(B - 1)):
+        return None, "nonuniform-band-keys"
+    line_words = config.l1.line_bytes // 8
+    d_words = None
+    static_lines = set()
+    moving_lo = moving_hi = None
+    for block in bands[edge]:
+        entry = compiler.lookup(block)
+        if entry is None:
+            return None, "untemplated-block"
+        template, addrs = entry
+        if not template.two_frame_clean:
+            return None, "nonuniform-template"
+        delta0 = next((delta for d, delta in template.deltas if d == 0), None)
+        for aidx, lo, hi, writes in operand_extents(template.trace, addrs):
+            v = 0 if delta0 is None else int(delta0[aidx])
+            first, last = lo // line_words, (hi - 1) // line_words
+            if v == 0:
+                if writes:
+                    return None, "static-store"
+                static_lines.update(range(first, last + 1))
+            else:
+                if d_words is None:
+                    d_words = v * step
+                elif v * step != d_words:
+                    return None, "mixed-strides"
+                moving_lo = first if moving_lo is None else min(moving_lo, first)
+                moving_hi = last if moving_hi is None else max(moving_hi, last)
+    if compiler.edge != edge:
+        return None, "edge-widened"
+    if d_words is None or d_words <= 0:
+        return None, "no-band-motion"
+    if d_words % line_words:
+        return None, "unaligned-stride"
+    d_lines = d_words // line_words
+    span_hi = moving_hi + (B - 1 - 2 * edge) * d_lines
+    span_lines = span_hi - moving_lo + 1
+    if span_lines <= steady_mod.SPAN_L2_FACTOR * config.l2.num_sets * config.l2.associativity:
+        return None, "in-cache"
+    page_lo = moving_lo // LINES_PER_PAGE - steady_mod.PAGE_MARGIN
+    page_hi = span_hi // LINES_PER_PAGE + steady_mod.PAGE_MARGIN
+    if any(page_lo <= ln // LINES_PER_PAGE <= page_hi for ln in static_lines):
+        return None, "static-overlaps-moving"
+    n1 = config.l1.num_sets
+    a1 = n1 // math.gcd(d_lines, n1)
+    ap = LINES_PER_PAGE // math.gcd(d_lines, LINES_PER_PAGE)
+    align = a1 * ap // math.gcd(a1, ap)
+    return steady_mod.BandCertificate(
+        edge, d_lines, align, frozenset(static_lines), span_lines
+    ), ""
+
+
+def _perfbench_kernel(machine_name, method, stencil, size):
+    spec = benchmark(stencil)
+    config = MACHINES[machine_name]()
+    mem = MemorySpace()
+    src = Grid2D(mem, size, size, spec.radius, "A")
+    dst = Grid2D(mem, size, size, spec.radius, "B")
+    return make_kernel(method, spec, src, dst, config, KernelOptions()), config
+
+
+@pytest.mark.parametrize(
+    "cell,size",
+    [(c, 64) for c in INCACHE_CELLS] + [(c, 512) for c in OOC_CELLS],
+    ids=[f"{'-'.join(c)}-64" for c in INCACHE_CELLS] + [f"{'-'.join(c)}-512" for c in OOC_CELLS],
+)
+def test_certificate_equals_the_operand_walk(cell, size):
+    from repro.kernels.template import TraceCompiler
+
+    kernel, config = _perfbench_kernel(*cell, size)
+    nest = kernel.loop_nest()
+    compiler = TraceCompiler(kernel, nest=nest, config=config)
+    bands = nest.bands()
+    for band in bands[: compiler.edge + 2]:
+        for block in band:
+            compiler.lookup(block)
+    expected = _operand_walk_certificate(compiler, bands, config)
+    assert steady_mod.build_certificate(compiler, bands, config) == expected
+    assert expected[1] == ("in-cache" if size == 64 else "")
+
+
+@pytest.mark.parametrize("cell", INCACHE_CELLS + OOC_CELLS, ids="-".join)
+def test_steady_stats_equal_the_operand_walk(monkeypatch, cell):
+    """The whole exact run, not just the first certificate: verdict
+    reasons and every ``SteadyStats`` field match the operand-walk oracle
+    (band-sampled runs take no certificate)."""
+    size, iters = (64, 16) if cell in INCACHE_CELLS else (512, 1)
+    runs = []
+    for certify in (steady_mod.build_certificate, _operand_walk_certificate):
+        monkeypatch.setattr(steady_mod, "build_certificate", certify)
+        kernel, config = _perfbench_kernel(*cell, size)
+        engine = TimingEngine(config, SimMode(steady="on"))
+        counters = engine.run(kernel, sample=False, warm=size == 64, iters=iters)
+        runs.append((counters.to_dict(), engine.steady_stats))
+    assert runs[0] == runs[1]
+
+
+def test_in_cache_cell_takes_no_record_key(monkeypatch):
+    """The steady record key is a digest of the whole bundle identity; a
+    cell whose certificate is refused never reads a record, so it must
+    not take the key either."""
+    calls = []
+    real = steady_mod.steady_record_key
+
+    def counting(compiler):
+        calls.append(compiler)
+        return real(compiler)
+
+    monkeypatch.setattr(steady_mod, "steady_record_key", counting)
+    kernel, config = _perfbench_kernel("M4", "hstencil", "box2d9p", 64)
+    engine = TimingEngine(config, SimMode(steady="on"))
+    engine.run(kernel, sample=False, iters=16)
+    assert engine.steady_stats.disabled == "in-cache"
+    assert calls == []
+
+
+def test_out_of_cache_record_round_trips_with_a_lazy_key(monkeypatch):
+    """An engaging LX2 cell still stores its record under the key and a
+    second run of the same engine serves it, with identical counters."""
+    calls = []
+    real = steady_mod.steady_record_key
+
+    def counting(compiler):
+        calls.append(compiler)
+        return real(compiler)
+
+    monkeypatch.setattr(steady_mod, "steady_record_key", counting)
+    stencil, rows, cols = ENGAGE_GRIDS["LX2"]
+    engine = TimingEngine(LX2(), SimMode(steady="on"))
+    results = []
+    for _ in range(2):
+        kernel, _ = _build("hstencil", "LX2", stencil, rows, cols)
+        counters = engine.run(kernel, sample=False, warm=False)
+        results.append((counters.to_dict(), engine.steady_stats))
+    (first, cold), (second, warm) = results
+    assert cold.engaged >= 1 and not cold.record_mode
+    assert warm.record_mode and warm.detect_sigs == 0 and warm.engaged >= 1
+    assert second == first
+    # One key per run: taken at the record store, then at the lookup.
+    assert len(calls) == 2
