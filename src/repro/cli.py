@@ -248,6 +248,8 @@ def cmd_scaling(args) -> int:
     n = int(args.size)
     cores = [int(c) for c in args.cores.split(",")]
     for c in cores:
+        if c < 1:
+            raise SystemExit(f"core counts must be >= 1, got {c}")
         if n // c <= 0:
             raise SystemExit(f"{c} cores leave no rows per core at size {n}")
 

@@ -28,6 +28,16 @@ from repro.machine.perf import PerfCounters
 from repro.machine.timing import SamplePlan, TimingEngine
 
 
+def _rows_per_core(total_rows: int, cores: int) -> int:
+    """Slice height for ``cores`` cores; rejects counts that leave none."""
+    if cores < 1:
+        raise ValueError(f"core count must be >= 1, got {cores}")
+    rows = total_rows // cores
+    if rows <= 0:
+        raise ValueError(f"{cores} cores leave no rows per core")
+    return rows
+
+
 @dataclass
 class ScalingPoint:
     """One core-count measurement of the strong-scaling curve."""
@@ -102,29 +112,6 @@ class MulticoreModel:
         """Time one core's slice (band-sampled for large slices)."""
         return self.engine.run(kernel, plan=plan)
 
-    def lockstep_slices(
-        self,
-        kernels: Sequence[Kernel],
-        *,
-        warm: bool = True,
-    ) -> List[PerfCounters]:
-        """Simulate explicit per-core slice kernels in band-lockstep.
-
-        Unlike :meth:`strong_scaling` — which exploits slice symmetry and
-        simulates one slice per distinct height — this times every supplied
-        slice kernel in full, with all cores advancing one outer-loop band
-        at a time.  Steady-state elision only engages when every core's
-        controller is ready with the same period at the same boundary
-        (:meth:`~repro.machine.timing.TimingEngine.run_lockstep`); a single
-        demotion abandons elision on all cores, so each returned
-        :class:`PerfCounters` is bit-identical to timing that slice alone
-        with ``sample=False``.  Per-core controller accounting lands on the
-        engine's ``lockstep_steady_stats``.
-        """
-        if not kernels:
-            raise ValueError("lockstep_slices needs at least one slice kernel")
-        return self.engine.run_lockstep(kernels, warm=warm)
-
     def scaling_point(
         self,
         cores: int,
@@ -184,9 +171,7 @@ class MulticoreModel:
         serial = slices[total_rows]
         out: List[ScalingPoint] = []
         for cores in core_counts:
-            rows = total_rows // cores
-            if rows <= 0:
-                raise ValueError(f"{cores} cores leave no rows per core")
+            rows = _rows_per_core(total_rows, cores)
             if rows not in slices:
                 raise ValueError(f"missing slice measurement for {rows} rows")
             point = self.scaling_point(cores, slices[rows])
@@ -215,10 +200,7 @@ class MulticoreModel:
         """
         heights = set()
         for cores in core_counts:
-            rows = total_rows // cores
-            if rows <= 0:
-                raise ValueError(f"{cores} cores leave no rows per core")
-            heights.add(rows)
+            heights.add(_rows_per_core(total_rows, cores))
         heights.add(total_rows)  # serial reference
         slices: Dict[int, PerfCounters] = {
             rows: self.run_slice(kernel_for_rows(rows), plan=plan)

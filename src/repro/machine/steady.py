@@ -557,11 +557,11 @@ def steady_record_key(compiler) -> Optional[str]:
 class SteadyController:
     """Detect -> verify -> engage state machine for one pass of one kernel.
 
-    Drive it with :meth:`after_band` after each completed band (solo), or
-    with :meth:`observe_band` / :meth:`engage` from a lockstep driver that
-    requires all cores to be ready simultaneously.  ``k`` is always the
-    number of completed bands.  Any mismatch disables the controller for
-    the rest of the run — the pass then finishes as a plain exact walk.
+    Drive it with :meth:`after_band` after each completed band; ``k`` is
+    always the number of completed bands.  A verify window that holds jumps
+    every whole period left in the interior at its own boundary.  Any
+    mismatch disables the controller for the rest of the run — the pass
+    then finishes as a plain exact walk.
 
     Detection pays for a signature only where a recurrence could still
     engage (module doc): it stops ``no-room`` past ``k = last - 2*align``,
@@ -615,7 +615,6 @@ class SteadyController:
         self.expected_digest: Optional[str] = None
         self.expected_delta: Optional[tuple] = None
         self.base_raw: Optional[tuple] = None
-        self.ready_at = -1
         self._rec_period = 0
         self._rec_digest: Optional[str] = None
         self._rec_delta: Optional[tuple] = None
@@ -634,12 +633,6 @@ class SteadyController:
         h.static_watch_hits = 0
         if demoted:
             self.stats.demoted += 1
-
-    def force_disable(self, reason: str = "lockstep") -> None:
-        """Lockstep all-or-none demotion: drop an in-flight claim."""
-        if self.state in ("disabled", "engaged"):
-            return
-        self._disable(reason, demoted=self.state in ("verify", "ready"))
 
     def _ensure_cert(self) -> bool:
         if self.cert is not None:
@@ -695,25 +688,25 @@ class SteadyController:
 
     # -- per-boundary protocol ------------------------------------------
 
-    def observe_band(self, k: int) -> str:
-        """Advance the state machine at boundary ``k`` (bands completed)."""
+    def after_band(self, k: int) -> Optional[int]:
+        """Advance the state machine at boundary ``k`` (bands completed).
+
+        Returns the new boundary (bands completed) after a jump, else
+        ``None`` (continue with the next band).
+        """
         if self.state in ("disabled", "engaged"):
-            return self.state
+            return None
         e = self.compiler.edge
         if k < e + 1 or k > self.B - e:
-            return self.state
+            return None
         if not self._ensure_cert():
-            return self.state
+            return None
         cert = self.cert
         if self.compiler.edge != cert.edge:
             self._disable("edge-widened")
-            return self.state
-        if self.state == "ready":
-            return self.state
+            return None
         if self.state == "verify":
-            if k >= self.target:
-                self._finish_verify(k)
-            return self.state
+            return self._finish_verify(k) if k >= self.target else None
 
         last = self.B - e
         if self.record is not None:
@@ -721,25 +714,25 @@ class SteadyController:
             # one more period inside the interior (``_has_room``).
             if k > last - 2 * self._rec_period:
                 self._disable("no-room")
-                return self.state
+                return None
             sig = rebased_signature(self.pipe, cert.static_lines, k * cert.d_lines)
             if sig is None:
-                return self.state
+                return None
             self.stats.record_probes += 1
             digest = artifacts.signature_digest(sig)
             if digest == self._rec_digest:
                 raw = raw_counters(self.pipe)
                 self._start_verify(k, self._rec_period, digest, self._rec_delta, raw)
-            return self.state
+            return None
 
         # detect
         align = cert.align
         if k > e + DETECT_ALIGN_WINDOW * align + DETECT_SLACK:
             self._disable("no-recurrence")
-            return self.state
+            return None
         if k > last - 2 * align:
             self._disable("no-room")  # no match from here on has room
-            return self.state
+            return None
         l2 = self.pipe.hierarchy.l2
         prev_lines = self._lines
         lines = self._lines = sum(map(len, l2._sets))
@@ -753,12 +746,12 @@ class SteadyController:
         if not self._seen:
             if k > last - 3 * align:
                 self._disable("no-room")  # no origin left that could match
-                return self.state
+                return None
             if not can_origin:
-                return self.state
+                return None
         sig = rebased_signature(self.pipe, cert.static_lines, k * cert.d_lines)
         if sig is None:
-            return self.state  # a static line is still washing out of L2
+            return None  # a static line is still washing out of L2
         digest = artifacts.signature_digest(sig)
         raw = raw_counters(self.pipe)
         self.stats.detect_sigs += 1
@@ -766,26 +759,26 @@ class SteadyController:
         if prev is None:
             if can_origin:
                 self._seen[digest] = (k, raw)
-            return self.state
+            return None
         k0, raw0 = prev
         p = k - k0
         if p % align:
             # Unaligned recurrences can be coincidental (uniform streaming
             # makes L1 sets look alike); only set/page-preserving periods
             # carry the shift-automorphism proof.  Keep the earlier entry.
-            return self.state
+            return None
         if not self._has_room(k, p):
             self._disable("no-room")
-            return self.state
+            return None
         delta = raw_delta(raw, raw0)
         if not (delta[0][0] == delta[0][1] == delta[0][2]):
             if can_origin:
                 self._seen[digest] = (k, raw)
             else:
                 del self._seen[digest]
-            return self.state
+            return None
         self._start_verify(k, p, digest, delta, raw)
-        return self.state
+        return None
 
     def _has_room(self, k: int, p: int) -> bool:
         # The verify window occupies bands [k, k+p); at least one more full
@@ -807,7 +800,9 @@ class SteadyController:
         self.stats.candidates += 1
         self.state = "verify"
 
-    def _finish_verify(self, k: int) -> None:
+    def _finish_verify(self, k: int) -> Optional[int]:
+        """Check the verify window ending at ``k``; on success jump every
+        whole period left in the interior and return the new boundary."""
         cert = self.cert
         h = self.pipe.hierarchy
         ok = (
@@ -822,32 +817,13 @@ class SteadyController:
             ok = raw_delta(raw_counters(self.pipe), self.base_raw) == self.expected_delta
         if not ok:
             self._disable("verify-mismatch", demoted=True)
-            return
-        # Hold the window open: the watch stays armed so the engage point
-        # can be deferred (lockstep) with the zero-static-event proof intact
-        # — per-band behaviour is periodic from here for *any* later aligned
-        # start inside the interior, so deferral costs only live bands.
-        self.state = "ready"
-        self.ready_at = k
+            return None
         self.stats.verified += 1
-
-    # -- engagement -----------------------------------------------------
-
-    def max_engage_periods(self, k: int) -> int:
-        if self.state != "ready":
-            return 0
-        return (self.B - self.compiler.edge - k) // self.period
-
-    def engage(self, k: int, m: int) -> Optional[int]:
-        """Jump ``m`` periods from boundary ``k``; return the new boundary."""
-        if self.state != "ready" or m < 1:
-            return None
-        h = self.pipe.hierarchy
-        if h.static_watch_hits != 0 or self.compiler.edge != self.cert.edge:
-            self._disable("verify-mismatch", demoted=True)
-            return None
-        shift = m * self.period * self.cert.d_lines
-        apply_jump(self.pipe, self.cert.static_lines, shift, m, self.expected_delta)
+        # Detection's ``_has_room`` and the record scan's bound both leave
+        # at least one full period after the verify boundary, so m >= 1.
+        m = (self.B - cert.edge - k) // self.period
+        shift = m * self.period * cert.d_lines
+        apply_jump(self.pipe, cert.static_lines, shift, m, self.expected_delta)
         self.state = "engaged"
         h.static_watch = None
         h.static_watch_hits = 0
@@ -863,24 +839,9 @@ class SteadyController:
                         "core": list(core),
                         "ports": [[nm, n] for nm, n in ports],
                     },
-                    "d_lines": self.cert.d_lines,
-                    "edge": self.cert.edge,
-                    "align": self.cert.align,
+                    "d_lines": cert.d_lines,
+                    "edge": cert.edge,
+                    "align": cert.align,
                 }
             )
         return k + m * self.period
-
-    def after_band(self, k: int) -> Optional[int]:
-        """Solo driver: observe boundary ``k``, engage as soon as ready.
-
-        Returns the new boundary (bands completed) after a jump, else
-        ``None`` (continue with the next band).
-        """
-        self.observe_band(k)
-        if self.state != "ready":
-            return None
-        m = self.max_engage_periods(k)
-        if m < 1:
-            self._disable("no-room")
-            return None
-        return self.engage(k, m)

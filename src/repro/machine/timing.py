@@ -150,11 +150,10 @@ class TimingEngine:
         #: artifact store) lets later runs skip detection entirely and go
         #: straight to the verification window.
         self._steady_records: dict = {}
-        #: Per-run / per-lockstep-run controller accounting
+        #: Per-run controller accounting
         #: (:class:`repro.machine.steady.SteadyStats`), refreshed by each
-        #: ``_run_full`` / ``run_lockstep`` call.
+        #: ``_run_full`` call.
         self.steady_stats = None
-        self.lockstep_steady_stats = None
         #: Engine-lifetime columnar state (lazily built): memory plans and
         #: scoreboard memo tables, shared by every columnar run this engine
         #: drives — successive runs, measured passes and multicore slice
@@ -388,124 +387,6 @@ class TimingEngine:
             counters = PipelineModel.delta(counters, before)
         counters.points = nest.total_points() * iters
         return counters
-
-    def run_lockstep(
-        self, kernels, *, warm: bool = True
-    ) -> "list[PerfCounters]":
-        """Time several kernels band-locked (multicore slice contract).
-
-        Every kernel gets its own pipeline; all cores advance one outer-loop
-        band per step.  Steady-state elision only engages when *every*
-        still-running core's controller is ready with the *same* period at
-        the same boundary — the jump is then the largest common multiple of
-        that period fitting every core's interior.  If any core demotes (or
-        cannot certify) while others hold a claim, elision is abandoned on
-        all cores, so the cores' counters stay bit-identical to running each
-        kernel alone with ``run(sample=False)``.
-        """
-        from repro.machine.steady import SteadyStats, steady_record_key
-
-        cores = []
-        for kernel in kernels:
-            pipe = PipelineModel(self.config)
-            nest = kernel.loop_nest()
-            run_band, compiler = self._band_machinery(kernel, pipe, nest)
-            cores.append((kernel, pipe, nest, nest.bands(), run_band, compiler))
-
-        stats_list = [SteadyStats() for _ in kernels]
-        self.lockstep_steady_stats = stats_list
-        verdicts_list = [{} for _ in kernels]
-        key_list = [
-            functools.cache(functools.partial(steady_record_key, core[5])) for core in cores
-        ]
-        use_steady = self.mode.steady == "on" and self.mode.engine == "compiled"
-
-        def one_pass() -> None:
-            controllers = []
-            for (kernel, pipe, _nest, bands, _rb, compiler), stats, verdicts, record_key in zip(
-                cores, stats_list, verdicts_list, key_list
-            ):
-                pipe.process_trace(kernel.preamble())
-                ctrl = None
-                if use_steady and compiler is not None:
-                    ctrl = self._steady_controller(
-                        pipe, compiler, bands, stats, verdicts, record_key
-                    )
-                controllers.append(ctrl)
-            lock_dead = not use_steady or any(c is None for c in controllers)
-            if lock_dead:
-                for c in controllers:
-                    if c is not None:
-                        c.force_disable("lockstep")
-            k = 0
-            max_bands = max((len(c[3]) for c in cores), default=0)
-            while k < max_bands:
-                active = [i for i, c in enumerate(cores) if k < len(c[3])]
-                for i in active:
-                    cores[i][4](cores[i][3][k])
-                k += 1
-                if lock_dead:
-                    continue
-                # Cores that already finished drop out of the lockstep
-                # quorum; the remaining ones must agree unanimously.
-                live = [i for i, c in enumerate(cores) if k < len(c[3])]
-                states = [controllers[i].observe_band(k) for i in live]
-                if not live:
-                    continue
-                if any(s == "disabled" for s in states):
-                    if not all(s == "disabled" for s in states):
-                        for i in live:
-                            controllers[i].force_disable("lockstep")
-                    lock_dead = True
-                    continue
-                if not all(s == "ready" for s in states):
-                    continue
-                periods = {controllers[i].period for i in live}
-                if len(periods) != 1:
-                    for i in live:
-                        controllers[i].force_disable("lockstep")
-                    lock_dead = True
-                    continue
-                p = periods.pop()
-                m = min(controllers[i].max_engage_periods(k) for i in live)
-                if m < 1:
-                    continue  # ready persists; a core may finish and free room
-                # The engage must be atomic across cores: re-check every
-                # core's claim (late static-watch events, edge widening)
-                # *before* any core's state jumps, so a failed claim demotes
-                # the whole group without desynchronizing the shared index.
-                claims_ok = all(
-                    controllers[i].pipe.hierarchy.static_watch_hits == 0
-                    and controllers[i].compiler.edge == controllers[i].cert.edge
-                    for i in live
-                )
-                if not claims_ok:
-                    for i in live:
-                        controllers[i].force_disable("lockstep")
-                    lock_dead = True
-                    continue
-                for i in live:
-                    if controllers[i].engage(k, m) is None:
-                        # Unreachable after the pre-checks (engage re-checks
-                        # the same conditions); never desync the shared index.
-                        raise RuntimeError("lockstep engage desynchronized")
-                k += m * p
-
-        if warm:
-            one_pass()
-            befores = [pipe.snapshot() for _k, pipe, *_ in cores]
-        else:
-            befores = [None] * len(cores)
-        one_pass()
-        out = []
-        for (kernel, pipe, nest, *_), before in zip(cores, befores):
-            counters = pipe.snapshot()
-            if before is not None:
-                counters = PipelineModel.delta(counters, before)
-            counters.points = nest.total_points()
-            counters.label = kernel.name
-            out.append(counters)
-        return out
 
     def _run_sampled(self, kernel: Kernel, nest, plan: SamplePlan) -> PerfCounters:
         pipe = PipelineModel(self.config)

@@ -80,6 +80,13 @@ def test_scaling_reports_remainder_rows(capsys):
     assert "8 remainder rows unassigned" in out  # 96 % 11
 
 
+@pytest.mark.parametrize("cores", ["0,2", "-1,2"])
+def test_scaling_rejects_core_counts_below_one(cores):
+    bad = cores.split(",")[0]
+    with pytest.raises(SystemExit, match=f"core counts must be >= 1, got {bad}$"):
+        main(["scaling", "--stencil", "box2d9p", "--size", "96", f"--cores={cores}"])
+
+
 def test_bench_cache_dir_and_json(tmp_path, capsys):
     import json
 

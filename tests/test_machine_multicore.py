@@ -76,6 +76,17 @@ class TestStrongScaling:
         with pytest.raises(ValueError):
             mc.strong_scaling(kernel_factory(), total_rows=8, core_counts=[16])
 
+    @pytest.mark.parametrize("cores", [0, -2])
+    def test_core_count_below_one_rejected(self, cores):
+        # Checked before the slice height: 0 would divide by zero, and a
+        # negative count is not a lack of rows.
+        mc = MulticoreModel(LX2())
+        with pytest.raises(ValueError, match=f"core count must be >= 1, got {cores}"):
+            mc.strong_scaling(kernel_factory(), total_rows=64, core_counts=[cores, 2])
+        slices = {32: synthetic_slice(100.0, 2048), 64: synthetic_slice(200.0, 4096)}
+        with pytest.raises(ValueError, match=f"core count must be >= 1, got {cores}"):
+            mc.series_from_slices(slices, 64, [2, cores])
+
     def test_points_scale_with_cores(self):
         mc = MulticoreModel(LX2())
         pts = mc.strong_scaling(kernel_factory(), total_rows=64, core_counts=[1, 4])

@@ -7,8 +7,8 @@ the remaining bands arithmetically.  The contract is *exactness*: counters
 and grids are bit-identical to walking every band, for every method,
 machine and odd/tail-predicated grid shape — and any verification mismatch
 demotes permanently back to the exact walk.  These tests enforce that
-contract across the method registry, force the demotion path, pin the
-multicore lockstep all-or-none rule, round-trip detected periods
+contract across the method registry, force the demotion path, check that
+a verified window jumps at its own boundary, round-trip detected periods
 through the compiled-artifact store (warm runs skip detection entirely),
 and check that detection refuses without signatures where no recurrence
 could have room to engage.
@@ -32,7 +32,6 @@ from repro.machine.artifacts import install_artifact_store
 from repro.machine.cache import CacheHierarchy
 from repro.machine.config import LX2, M4, CacheGeometry
 from repro.machine.memory import MemorySpace
-from repro.machine.multicore import MulticoreModel
 from repro.machine.steady import SteadyController
 from repro.machine.timing import STEADY_MODES, SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
@@ -104,6 +103,8 @@ def test_steady_bit_identical_across_registry(method, machine_name, stencil, row
     # no room) but it must never have *demoted*: a verified candidate that
     # fails its probe on these deterministic grids would be a soundness bug.
     assert stats.demoted == 0
+    # A verified window jumps at its own boundary.
+    assert stats.verified == stats.engaged
     # Skipping signatures that cannot lead to an engagement must never
     # cost an elided band or change a verdict.
     if machine_name == "M4":
@@ -121,8 +122,18 @@ def test_steady_engages_and_elides_bands(machine_name):
     elided, stats = _full("hstencil", machine_name, "on", stencil, rows, cols)
     assert elided.to_dict() == exact.to_dict()
     assert stats.engaged >= 1
+    assert stats.verified == stats.engaged
     assert stats.elided_bands == ENGAGE_ELIDED[machine_name]
     assert stats.disabled == ""
+
+
+def test_steady_engages_on_odd_column_count():
+    """An odd row width (not on GRIDS) still engages without a demotion."""
+    exact, _ = _full("hstencil", "LX2", "off", "box2d25p", 387, 389)
+    elided, stats = _full("hstencil", "LX2", "on", "box2d25p", 387, 389)
+    assert elided.to_dict() == exact.to_dict()
+    assert stats.engaged >= 1
+    assert stats.demoted == 0
 
 
 def test_steady_engages_on_lx2_auto_box2d25p():
@@ -142,6 +153,9 @@ def test_steady_engages_on_lx2_auto_box2d25p():
         # 48 bands: no boundary can be the origin of a 16-band-aligned
         # recurrence that leaves a verify window and one more period.
         ("hstencil", 384, 384, 0),
+        # 64 bands: refused at the origin bound, still before the first
+        # signature.
+        ("hstencil", 512, 512, 0),
         # 64 bands: only the few boundaries that could still start or
         # match a recurrence with room pay for a signature.
         ("auto", 515, 512, 8),
@@ -176,97 +190,6 @@ def test_forced_demotion_stays_exact(monkeypatch):
     assert stats.engaged == 0
     assert stats.disabled == "verify-mismatch"
     assert elided.to_dict() == exact.to_dict()
-
-
-# ---------------------------------------------------------------------------
-# Multicore lockstep
-# ---------------------------------------------------------------------------
-
-LOCK_ROWS, LOCK_COLS = 387, 389
-
-
-def _lockstep_kernels(cores, machine_name="LX2", rows=LOCK_ROWS, cols=LOCK_COLS):
-    """Independent per-core slice kernels (each with its own memory space)."""
-    kernels = []
-    for core in range(cores):
-        kernel, config = _build(
-            "hstencil", machine_name, "box2d25p", rows, cols, seed=11 + core
-        )
-        kernels.append(kernel)
-    return kernels, config
-
-
-def _lockstep_model(machine_name):
-    config = MACHINES[machine_name]()
-    return MulticoreModel(config, timing_engine=TimingEngine(config, SimMode()))
-
-
-def _solo_exact(kernel, config):
-    engine = TimingEngine(config, SimMode(engine="compiled", steady="off"))
-    return engine.run(kernel, sample=False, warm=False)
-
-
-@pytest.mark.parametrize("cores", [1, 2, 4])
-def test_lockstep_bit_identical_to_solo(cores):
-    kernels, config = _lockstep_kernels(cores)
-    solo = [_solo_exact(k, config) for k in kernels]
-
-    mc = _lockstep_model("LX2")
-    lock = mc.lockstep_slices(kernels, warm=False)
-
-    assert len(lock) == cores
-    for got, want in zip(lock, solo):
-        assert got.to_dict() == want.to_dict()
-    stats = mc.engine.lockstep_steady_stats
-    assert stats is not None and len(stats) == cores
-    # Symmetric slices reach readiness together: every core engages.
-    assert all(s.engaged >= 1 for s in stats)
-    assert all(s.demoted == 0 for s in stats)
-
-
-@pytest.mark.parametrize("rows,cols", [(384, 384), (512, 512)])
-def test_lockstep_no_room_takes_no_signatures(rows, cols):
-    """On M4 no-room cells every core refuses without a signature: at the
-    first interior boundary with 48 bands, at the origin bound with 64."""
-    kernels, config = _lockstep_kernels(2, "M4", rows, cols)
-    solo = [_solo_exact(k, config) for k in kernels]
-
-    mc = _lockstep_model("M4")
-    lock = mc.lockstep_slices(kernels, warm=False)
-
-    for got, want in zip(lock, solo):
-        assert got.to_dict() == want.to_dict()
-    stats = mc.engine.lockstep_steady_stats
-    assert [(s.disabled, s.detect_sigs) for s in stats] == [("no-room", 0)] * 2
-
-
-def test_lockstep_single_demotion_disables_all_cores(monkeypatch):
-    """One core failing its probe must abandon elision on *every* core
-    (all-or-none), and all counters must stay exact."""
-    kernels, config = _lockstep_kernels(2)
-    solo = [_solo_exact(k, config) for k in kernels]
-
-    original_start = SteadyController._start_verify
-    sabotaged = []
-
-    def sabotage_first(self, k, p, digest, delta, raw):
-        original_start(self, k, p, digest, delta, raw)
-        if not sabotaged:
-            sabotaged.append(self)
-            self.pipe.hierarchy.static_watch_hits += 1
-
-    monkeypatch.setattr(SteadyController, "_start_verify", sabotage_first)
-
-    mc = _lockstep_model("LX2")
-    lock = mc.lockstep_slices(kernels, warm=False)
-
-    for got, want in zip(lock, solo):
-        assert got.to_dict() == want.to_dict()
-    stats = mc.engine.lockstep_steady_stats
-    assert sabotaged, "sabotage never reached a verification window"
-    assert sum(s.demoted for s in stats) >= 1
-    assert all(s.engaged == 0 for s in stats)
-    assert all(s.disabled for s in stats)
 
 
 # ---------------------------------------------------------------------------
