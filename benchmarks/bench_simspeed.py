@@ -122,21 +122,6 @@ OOC_GUARD_CELLS = [("hstencil", OOC_STENCIL, OOC_SHAPE)]
 OOC_GUARD_PLAN = SamplePlan(min_measure_points=100_000)
 OOC_GUARD_SPEEDUP_TARGET = 8.0
 
-#: AOT compiled-artifact store cold-start target: precompile the full
-#: kernel registry on both machines over the fig12 suite against an empty
-#: store, then repeat against the populated store.  The guarded quantity is
-#: the wall-clock spent in template fitting plus program lowering (the work
-#: the store persists): a warm process deserializes every template with its
-#: trace and every lowered program, so its fitting+lowering time is exactly
-#: zero and the cold/warm ratio collapses only if the store stops serving.
-#: The mandated probe-on-load check (one live emit per shape class before a
-#: stored template is trusted) is reported separately as ``verify_seconds``
-#: — it is the price of the safety contract, not residual compile work.
-#: Measured cold fit+lower is ~8s on the full workload; the denominator is
-#: floored at 1 ms so a fully-warm (zero-second) run yields a finite ratio.
-AOT_SPEEDUP_TARGET = 5.0
-#: Smoke-guard subset: one machine, two stencils, still the full registry.
-AOT_GUARD_STENCILS = ["star2d5p", "box2d9p"]
 #: Stencil-service throughput cell: R identical mixed-lane requests (4
 #: warm-cache cells each) against one persistent warm-worker service vs
 #: the same R requests through fork-per-sweep ``run_cells`` calls (a fresh
@@ -155,13 +140,6 @@ SERVICE_REQUESTS = 12
 SERVICE_SMOKE_REQUESTS = 6
 SERVICE_WORKERS = 2
 SERVICE_THROUGHPUT_TARGET = 3.0
-
-#: Whole-phase wall-clock floor for the same guard: warm must beat cold by
-#: this much end-to-end, verification included.  Recorded at ~3.8-4.5x
-#: when cold sweeps wrote trace-laden template bundles; with trace-free
-#: bundles the cold sweep is far cheaper and the ratio reads ~1.5-1.8x,
-#: below this floor, which awaits re-basing (see ROADMAP).
-AOT_WALL_RATIO_TARGET = 3.0
 
 _RESULTS_JSON = os.path.join(
     os.path.dirname(__file__), "results", "BENCH_simspeed.json"
@@ -301,68 +279,6 @@ def _fullgrid_exact_speedup(rounds=1):
     return off_s / on_s, on_s, off_s, stats
 
 
-def _aot_phase(machines, stencils, store_dir):
-    """Precompile registry x machines x stencils; return compile-layer costs."""
-    from repro.kernels.registry import METHODS as REGISTRY
-    from repro.kernels.template import compile_stats, reset_compile_stats
-    from repro.machine.artifacts import install_artifact_store
-    from repro.machine.compiled import clear_program_pool, program_pool_stats
-
-    install_artifact_store(str(store_dir))
-    clear_program_pool(reset_stats=True)
-    reset_compile_stats()
-    built = 0
-    start = time.perf_counter()
-    for config in machines:
-        runner = ExperimentRunner(config, cache_dir=None, artifact_dir=str(store_dir))
-        for stencil in stencils:
-            for method in sorted(REGISTRY):
-                try:
-                    runner.precompile_cell(method, stencil, SHAPE)
-                    built += 1
-                except ValueError:
-                    continue  # method inapplicable on this machine
-    wall = time.perf_counter() - start
-    stats = compile_stats()
-    pool = program_pool_stats()
-    return {
-        "wall_seconds": wall,
-        "fit_seconds": stats["fit_seconds"],
-        "lower_seconds": pool["build_seconds"],
-        "verify_seconds": stats["verify_seconds"],
-        "verify_emits": stats["verify_emits"],
-        "compiled_classes": stats["compiled_classes"],
-        "loaded_classes": stats["loaded_classes"],
-        "cells": built,
-    }
-
-
-def _aot_coldstart(stencils, store_dir, machines=None):
-    """Cold-vs-warm AOT precompile sweep; returns (cold, warm, ratio).
-
-    ``ratio`` is cold over warm fitting+lowering seconds with the
-    denominator floored at 1 ms (a fully warm store spends exactly zero
-    there).  The process-wide store and pools are restored afterwards so
-    the measurement cannot warm any other benchmark in this process.
-    """
-    from repro.kernels.template import reset_compile_stats
-    from repro.machine.artifacts import install_artifact_store
-    from repro.machine.compiled import clear_program_pool
-    from repro.machine.config import M4
-
-    machines = machines if machines is not None else [LX2(), M4()]
-    try:
-        cold = _aot_phase(machines, stencils, store_dir)
-        warm = _aot_phase(machines, stencils, store_dir)
-    finally:
-        install_artifact_store(None)
-        clear_program_pool(reset_stats=True)
-        reset_compile_stats()
-    cold_cl = cold["fit_seconds"] + cold["lower_seconds"]
-    warm_cl = warm["fit_seconds"] + warm["lower_seconds"]
-    return cold, warm, cold_cl / max(warm_cl, 1e-3)
-
-
 def _service_throughput(cache_dir, requests=SERVICE_REQUESTS):
     """Warm-pool service vs fork-per-sweep requests/sec on a mixed workload.
 
@@ -463,9 +379,6 @@ def test_simspeed_workloads(benchmark, tmp_path):
     mc_ref_s, mc_col_s = _multicore_best()
     mc_speedup = mc_ref_s / mc_col_s
 
-    # -- AOT artifact store: cold vs warm precompile of the registry -------
-    aot_cold, aot_warm, aot_ratio = _aot_coldstart(SUITE_2D, tmp_path / "aot")
-
     # -- stencil service: warm-pool vs fork-per-sweep requests/sec ---------
     svc_base_s, svc_s, svc_counters = _service_throughput(tmp_path / "svc")
     svc_speedup = svc_base_s / svc_s
@@ -519,15 +432,6 @@ def test_simspeed_workloads(benchmark, tmp_path):
         f"{MC_GUARD_SIZE}^2, cores {MC_GUARD_CORES}): columnar {mc_col_s:.2f}s "
         f"vs reference {mc_ref_s:.2f}s ({mc_speedup:.2f}x, "
         f"target >= {MC_SPEEDUP_TARGET:.1f}x)"
-        + f"\nAOT artifact store cold start (registry x LX2/M4 x fig12 "
-        f"suite): cold {aot_cold['wall_seconds']:.1f}s wall "
-        f"({aot_cold['fit_seconds'] + aot_cold['lower_seconds']:.2f}s "
-        f"fit+lower, {aot_cold['compiled_classes']} classes) vs warm "
-        f"{aot_warm['wall_seconds']:.1f}s wall "
-        f"({aot_warm['fit_seconds'] + aot_warm['lower_seconds']:.2f}s "
-        f"fit+lower, {aot_warm['verify_seconds']:.2f}s probe-on-load "
-        f"verification) — fit+lower ratio {aot_ratio:.0f}x "
-        f"(target >= {AOT_SPEEDUP_TARGET:.0f}x)"
         + f"\nstencil service throughput ({SERVICE_REQUESTS} warm-cache "
         f"mixed-lane requests x {len(SERVICE_CELLS)} cells): persistent pool "
         f"{svc_s:.2f}s vs fork-per-sweep {svc_base_s:.2f}s ({svc_speedup:.1f}x "
@@ -604,16 +508,6 @@ def test_simspeed_workloads(benchmark, tmp_path):
                 "speedup": mc_speedup,
                 "speedup_target": MC_SPEEDUP_TARGET,
             },
-            "aot_coldstart": {
-                "stencils": SUITE_2D,
-                "shape": list(SHAPE),
-                "machines": ["LX2", "M4"],
-                "cold": aot_cold,
-                "warm": aot_warm,
-                "fit_lower_ratio": aot_ratio,
-                "wall_ratio": aot_cold["wall_seconds"] / aot_warm["wall_seconds"],
-                "speedup_target": AOT_SPEEDUP_TARGET,
-            },
             "service_throughput": {
                 "cells": [list(c[:2]) + [list(c[2])] for c in SERVICE_CELLS],
                 "requests": SERVICE_REQUESTS,
@@ -642,8 +536,6 @@ def test_simspeed_workloads(benchmark, tmp_path):
     assert fg_speedup >= FULLGRID_SPEEDUP_TARGET
     assert ooc_guard_speedup >= OOC_GUARD_SPEEDUP_TARGET
     assert mc_speedup >= MC_SPEEDUP_TARGET
-    assert aot_warm["compiled_classes"] == 0, "warm store still compiled live"
-    assert aot_ratio >= AOT_SPEEDUP_TARGET
     assert svc_speedup >= SERVICE_THROUGHPUT_TARGET
 
 
@@ -772,48 +664,10 @@ def test_smoke_simspeed_multicore_wallclock_guard():
     )
 
 
-def test_smoke_simspeed_aot_coldstart_guard(tmp_path):
-    """Cold-vs-warm guard cell for the AOT compiled-artifact store.
-
-    Precompiles the full kernel registry over a two-stencil LX2 subset of
-    the fig12 workload against an empty store, then repeats against the
-    populated store.  Unlike the other wall-clock guards this one needs no
-    recorded baseline: a correct warm run spends *exactly zero* seconds in
-    template fitting and program lowering (every class deserializes, every
-    program is a store hit), so the assertions are deterministic — any
-    regression in the store shows up as live compiles, not as noise.
-    """
-    cold, warm, ratio = _aot_coldstart(
-        AOT_GUARD_STENCILS, tmp_path, machines=[LX2()]
-    )
-    assert cold["compiled_classes"] >= 1 and cold["cells"] >= 1
-    assert warm["compiled_classes"] == 0, (
-        f"warm store still compiled {warm['compiled_classes']} classes live"
-    )
-    assert warm["loaded_classes"] == cold["compiled_classes"]
-    assert ratio >= AOT_SPEEDUP_TARGET, (
-        f"AOT cold-start fit+lower ratio {ratio:.1f}x "
-        f"below target {AOT_SPEEDUP_TARGET:.0f}x "
-        f"(cold {cold['fit_seconds'] + cold['lower_seconds']:.3f}s, "
-        f"warm {warm['fit_seconds'] + warm['lower_seconds']:.3f}s)"
-    )
-    # Every stored class is trusted by exactly one live emit of its own.
-    assert warm["verify_emits"] == warm["loaded_classes"], (
-        f"{warm['verify_emits']} live verify emits for "
-        f"{warm['loaded_classes']} loaded classes"
-    )
-    wall_ratio = cold["wall_seconds"] / warm["wall_seconds"]
-    assert wall_ratio >= AOT_WALL_RATIO_TARGET, (
-        f"AOT cold-start wall ratio {wall_ratio:.2f}x below target "
-        f"{AOT_WALL_RATIO_TARGET:.1f}x (cold {cold['wall_seconds']:.2f}s, "
-        f"warm {warm['wall_seconds']:.2f}s — warm verification cost crept up?)"
-    )
-
-
 def test_smoke_simspeed_service_throughput_guard(tmp_path):
     """Warm-pool service vs fork-per-sweep floor (the issue's 3x criterion).
 
-    Like the AOT guard this needs no recorded baseline: both sides run in
+    Like the full-grid guard this needs no recorded baseline: both sides run in
     the same process on the same machine, so the requests/sec ratio
     transfers across hardware.  The coalescing counters are asserted
     inside :func:`_service_throughput` — identical concurrent requests

@@ -11,10 +11,7 @@ regardless of completion order.
 Failure handling is per-cell: an exception inside a worker is captured as
 :attr:`CellResult.error` and the rest of the sweep proceeds.  When a disk
 cache directory is shared, workers populate it with atomic writes, so a
-warm second sweep performs zero simulations in any process.  The same
-sharding drives ``action="precompile"``: instead of measuring, each worker
-pre-builds the compiled-artifact store entries (templates, programs,
-columnar plans) for its cells — the build side of ``repro precompile``.
+warm second sweep performs zero simulations in any process.
 
 The pooled path is a thin client of the stencil service
 (:class:`repro.service.engine.StencilService`): ``run_cells(jobs=N)``
@@ -52,7 +49,7 @@ class CellResult:
     error: Optional[str] = None
     source: str = "simulated"
     seconds: float = 0.0
-    #: Per-cell summary for non-measurement actions (precompile).
+    #: Per-cell summary of the service's ``precompile`` warm-up action.
     info: Optional[Dict] = None
 
     @property
@@ -62,35 +59,24 @@ class CellResult:
 
 # Worker-process state, built once per worker by the pool initializer.
 _WORKER_RUNNER = None
-_WORKER_ARGS: Tuple[bool, Optional[SamplePlan], str] = (True, None, "measure")
+_WORKER_ARGS: Tuple[bool, Optional[SamplePlan]] = (True, None)
 
 
-def _init_worker(machine, options, cache_dir, warm, plan, mode, action) -> None:
+def _init_worker(machine, options, cache_dir, warm, plan, mode) -> None:
     global _WORKER_RUNNER, _WORKER_ARGS
     from repro.bench.runner import ExperimentRunner
 
     _WORKER_RUNNER = ExperimentRunner(
         machine, options, cache_dir=cache_dir, **dataclasses.asdict(mode)
     )
-    _WORKER_ARGS = (warm, plan, action)
+    _WORKER_ARGS = (warm, plan)
 
 
 def _run_cell(item: Tuple[int, Cell]) -> CellResult:
     index, (method, stencil, shape) = item
-    warm, plan, action = _WORKER_ARGS
+    warm, plan = _WORKER_ARGS
     start = time.perf_counter()
     try:
-        if action == "precompile":
-            info = _WORKER_RUNNER.precompile_cell(method, stencil, shape)
-            return CellResult(
-                index,
-                method,
-                stencil,
-                tuple(shape),
-                source="precompiled",
-                seconds=time.perf_counter() - start,
-                info=info,
-            )
         measurement = _WORKER_RUNNER.measure(method, stencil, shape, warm=warm, plan=plan)
         source = _WORKER_RUNNER.provenance(method, stencil, shape, warm=warm, plan=plan)
         return CellResult(
@@ -130,7 +116,6 @@ def _run_cells_pooled(
     workers: int,
     tick,
     mode,
-    action,
 ) -> None:
     """Drive one batch job through a short-lived stencil service.
 
@@ -151,7 +136,7 @@ def _run_cells_pooled(
         async with service:
             job = await service.submit(
                 cells, lane="batch", machine=machine, options=options,
-                warm=warm, plan=plan, action=action,
+                warm=warm, plan=plan,
             )
             async for kind, payload in job.events():
                 if kind == "done":
@@ -182,7 +167,6 @@ def run_cells(
     progress: bool = False,
     runner=None,
     mode: Optional[SimMode] = None,
-    action: str = "measure",
 ) -> List[CellResult]:
     """Measure every cell, fanning out across ``jobs`` worker processes.
 
@@ -192,10 +176,6 @@ def run_cells(
     :class:`~repro.bench.runner.ExperimentRunner`'s in-memory cache.
     ``mode`` (a :class:`~repro.machine.timing.SimMode`) is how every cell
     is simulated; ``None`` resolves one from the environment.
-
-    ``action="precompile"`` pre-builds the compiled-artifact store for every
-    cell instead of measuring; results carry a per-cell build summary in
-    :attr:`CellResult.info` and no counters.
 
     ``jobs > 1`` submits the whole sweep as one batch-lane job to a
     short-lived :class:`~repro.service.engine.StencilService` (the same
@@ -223,9 +203,9 @@ def run_cells(
         global _WORKER_RUNNER, _WORKER_ARGS
         if runner is not None:
             # Reuse the caller's runner so its memo/disk caches serve directly.
-            _WORKER_RUNNER, _WORKER_ARGS = runner, (warm, plan, action)
+            _WORKER_RUNNER, _WORKER_ARGS = runner, (warm, plan)
         else:
-            _init_worker(machine, options, cache_dir, warm, plan, mode, action)
+            _init_worker(machine, options, cache_dir, warm, plan, mode)
         try:
             for item in indexed:
                 results.append(_run_cell(item))
@@ -244,9 +224,8 @@ def run_cells(
             min(jobs, total),
             tick,
             mode,
-            action,
         )
-        if runner is not None and action == "measure":
+        if runner is not None:
             for result in results:
                 if result.ok:
                     runner.adopt(

@@ -203,13 +203,13 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
 
     def precompile_cell(self, method: str, stencil: str, shape: Tuple[int, ...]) -> Dict:
-        """Pre-build the compiled artifacts for one cell (no simulation).
+        """Warm this process's compile layer for one cell (no simulation).
 
-        Compiles every shape class of the kernel's loop nest — templates,
-        pooled timing program, functional program — which, with an artifact
-        store active, persists them for later processes.  Raises
-        ``ValueError`` for methods inapplicable to the stencil/machine,
-        matching :meth:`measure`.
+        Resolves every shape class of the kernel's loop nest and lowers its
+        pooled timing program and its functional program, so a later
+        :meth:`measure` of the same cell in this process adopts the classes
+        instead of fitting them.  Raises ``ValueError`` for methods
+        inapplicable to the stencil/machine, matching :meth:`measure`.
         """
         from repro.kernels.template import TraceCompiler
 
@@ -235,8 +235,7 @@ class ExperimentRunner:
                 if entry is None:
                     continue
                 template, _addrs = entry
-                # Force both lowerings; the pooled builders write through
-                # to the store.
+                # Force both lowerings.
                 timing_program = template.timing_program(self.machine)
                 if timing_program is not None:
                     templated += 1
@@ -253,28 +252,6 @@ class ExperimentRunner:
             "compiled": compiler.compiled_classes,
             "demoted_on_load": compiler.load_demotions,
         }
-
-    def precompile(
-        self,
-        cells: Sequence[Tuple[str, str, Tuple[int, ...]]],
-        jobs: int = 1,
-        progress: bool = False,
-    ):
-        """Pre-build artifacts for many cells, optionally sharded (workers
-        share the store through atomic writes)."""
-        from repro.bench.parallel import run_cells
-
-        return run_cells(
-            cells,
-            machine=self.machine,
-            options=self.options,
-            cache_dir=self.disk_cache.root if self.disk_cache else None,
-            jobs=jobs,
-            progress=progress,
-            runner=self,
-            mode=self.mode,
-            action="precompile",
-        )
 
     def sweep(
         self,
@@ -363,17 +340,4 @@ class ExperimentRunner:
             "simulated": sources.count("simulated"),
             "disk_hits": sources.count("disk"),
             "disk": self.disk_cache.stats() if self.disk_cache else None,
-        }
-
-    def artifact_stats(self) -> Dict:
-        """Compile-layer counters: artifact store, program pool, templates."""
-        from repro.kernels.template import compile_stats
-        from repro.machine.artifacts import active_store
-        from repro.machine.compiled import program_pool_stats
-
-        store = active_store()
-        return {
-            "store": store.stats() if store is not None else None,
-            "program_pool": program_pool_stats(),
-            "templates": compile_stats(),
         }

@@ -304,56 +304,6 @@ def cmd_scaling(args) -> int:
     return 0
 
 
-def cmd_precompile(args) -> int:
-    from repro.machine.artifacts import ArtifactStore
-    from repro.stencils.library import SUITE_2D
-
-    artifact_dir = _dir_arg(args, "artifact_dir") or os.environ.get("REPRO_ARTIFACTS")
-    if not artifact_dir:
-        raise SystemExit("precompile needs --artifact-dir (or REPRO_ARTIFACTS)")
-    machines = [m.strip() for m in args.machines.split(",") if m.strip()]
-    methods = args.methods.split(",") if args.methods else list(METHODS)
-    stencils = args.stencils.split(",") if args.stencils else list(SUITE_2D)
-    cells = []
-    for stencil in stencils:
-        spec = benchmark(stencil)
-        shape = _shape(args.size, spec.ndim)
-        cells.extend((method, stencil, shape) for method in methods)
-
-    runner = None
-    for machine_name in machines:
-        runner = ExperimentRunner(
-            _machine(machine_name),
-            _options(args),
-            cache_dir=_dir_arg(args, "cache_dir"),
-            **dict(_mode_kwargs(args), artifact_dir=artifact_dir),
-        )
-        results = runner.precompile(cells, jobs=args.jobs, progress=args.jobs > 1)
-        built = [r for r in results if r.ok]
-        skipped = [r for r in results if not r.ok]
-        for r in skipped:
-            # Inapplicable method/stencil/machine combinations raise
-            # ValueError, which is expected registry behaviour; anything
-            # else is a real failure worth surfacing.
-            if not (r.error or "").startswith("ValueError"):
-                print(f"  {machine_name}: {r.method}/{r.stencil} failed: {r.error}")
-        classes = sum((r.info or {}).get("classes", 0) for r in built)
-        compiled = sum((r.info or {}).get("compiled", 0) for r in built)
-        loaded = sum((r.info or {}).get("loaded", 0) for r in built)
-        print(
-            f"{machine_name}: {len(built)} cells precompiled — {classes} shape "
-            f"classes ({compiled} compiled live, {loaded} loaded from store), "
-            f"{len(skipped)} cells inapplicable"
-        )
-    if args.stats and runner is not None:
-        payload = runner.artifact_stats()
-        # Worker processes keep their own in-memory counters, so always
-        # include the on-disk truth alongside this process's view.
-        payload["disk"] = ArtifactStore(artifact_dir).disk_stats()
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    return 0
-
-
 def cmd_serve(args) -> int:
     import asyncio
 
@@ -471,7 +421,7 @@ def cmd_submit(args) -> int:
 
 def cmd_cache(args) -> int:
     from repro.bench.cache import MeasurementCache
-    from repro.machine.artifacts import ArtifactStore
+    from repro.machine.artifacts import prune_tree, scan_tree
 
     cache_dir = _dir_arg(args, "cache_dir") or os.environ.get("REPRO_BENCH_CACHE")
     artifact_dir = _dir_arg(args, "artifact_dir") or os.environ.get("REPRO_ARTIFACTS")
@@ -485,7 +435,7 @@ def cmd_cache(args) -> int:
         if cache_dir:
             payload["measurements"] = MeasurementCache(cache_dir).disk_stats()
         if artifact_dir:
-            payload["artifacts"] = ArtifactStore(artifact_dir).disk_stats()
+            payload["artifacts"] = scan_tree(artifact_dir)
     else:  # prune
         if args.max_age_days is None and args.max_bytes is None:
             raise SystemExit("prune needs --max-age-days and/or --max-bytes")
@@ -494,8 +444,8 @@ def cmd_cache(args) -> int:
                 max_age_days=args.max_age_days, max_bytes=args.max_bytes
             )
         if artifact_dir:
-            payload["artifacts"] = ArtifactStore(artifact_dir).prune(
-                max_age_days=args.max_age_days, max_bytes=args.max_bytes
+            payload["artifacts"] = prune_tree(
+                artifact_dir, max_age_days=args.max_age_days, max_bytes=args.max_bytes
             )
     print(json.dumps(payload, indent=1, sort_keys=True))
     return 0
@@ -569,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--artifact-dir",
             default=None,
-            help="compiled-artifact store directory (templates, lowered "
-            "programs, columnar plans; default: REPRO_ARTIFACTS env var)",
+            help="artifact store directory for steady-state period records "
+            "(default: REPRO_ARTIFACTS env var)",
         )
 
     p = sub.add_parser("bench", help="time one method")
@@ -601,15 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="hstencil-prefetch")
     p.add_argument("--cores", default="1,2,4,8")
 
-    p = sub.add_parser("precompile", help="pre-build the compiled-artifact store")
-    engine(p)
-    p.add_argument("--machines", default="lx2,m4", help="comma-separated machine list")
-    p.add_argument("--methods", default=None, help="comma-separated (default: full registry)")
-    p.add_argument("--stencils", default=None, help="comma-separated (default: 2D suite)")
-    p.add_argument("--size", default="128x128", help="interior size per stencil")
-    p.add_argument("--unroll", type=int, default=None, help="tile unroll factor")
-    p.add_argument("--stats", action="store_true", help="print pool/store counters")
-
     p = sub.add_parser("serve", help="run the warm-worker stencil service")
     p.add_argument("--socket", required=True, help="Unix socket path to listen on")
     p.add_argument(
@@ -637,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect or prune the on-disk caches")
     p.add_argument("action", choices=["stats", "prune"])
     p.add_argument("--cache-dir", default=None, help="measurement cache directory")
-    p.add_argument("--artifact-dir", default=None, help="compiled-artifact store directory")
+    p.add_argument("--artifact-dir", default=None, help="artifact store directory")
     p.add_argument("--max-age-days", type=float, default=None, help="prune entries older than this")
     p.add_argument("--max-bytes", type=int, default=None, help="prune oldest entries above this total size")
 
@@ -686,8 +627,7 @@ def _print_compile_stats() -> None:
     print(
         "program pool: "
         f"{pool['hits']} hits / {pool['misses']} misses / {pool['builds']} builds "
-        f"({pool['build_seconds']:.3f}s), {pool['evictions']} evictions, "
-        f"store {pool['store_hits']} hits / {pool['store_writes']} writes"
+        f"({pool['build_seconds']:.3f}s), {pool['evictions']} evictions"
     )
     tmpl = compile_stats()
     print(
@@ -716,7 +656,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "listing": cmd_listing,
         "verify": cmd_verify,
         "scaling": cmd_scaling,
-        "precompile": cmd_precompile,
         "serve": cmd_serve,
         "submit": cmd_submit,
         "cache": cmd_cache,

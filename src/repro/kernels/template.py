@@ -41,9 +41,6 @@ cell, a measure after a precompile) trusts an entry after one live emit
 of the block being replayed reproduces the signature exactly and the
 addresses the model predicts, and adopts that emitted trace as the
 template (:meth:`TraceCompiler._adopt`); a mismatch demotes the class.
-With an artifact store active, each resolved class is also persisted as
-its affine model and signature digest, never its trace, and a later
-process adopts it under the same one-emit check.
 """
 
 from __future__ import annotations
@@ -82,11 +79,10 @@ _UNBUILT = object()
 #: Sentinel distinguishing "no resolved entry" from a demotion verdict.
 _MISS = object()
 
-#: Process-wide template-compilation accounting, split into the buckets the
-#: cold-start guard measures: ``fit_seconds`` is live compile work (probe
-#: emits + affine fits), ``verify_seconds`` is the one live emit and check
-#: a resolved class entry (in-process or stored) must pass before it is
-#: trusted; ``loaded_classes`` counts the entries adopted either way.
+#: Process-wide template-compilation accounting: ``fit_seconds`` is live
+#: compile work (probe emits + affine fits), ``verify_seconds`` is the one
+#: live emit and check a class resolved earlier in the process must pass
+#: before it is trusted; ``loaded_classes`` counts the entries adopted.
 COMPILE_STATS: Dict[str, float] = {}
 
 def reset_compile_stats() -> None:
@@ -216,7 +212,6 @@ class RowTemplate:
         "_functional",
         "_timing",
         "_timing_config",
-        "_sig_digest",
     )
 
     def __init__(
@@ -243,7 +238,6 @@ class RowTemplate:
         self._functional: object = _UNBUILT
         self._timing: object = _UNBUILT
         self._timing_config: Optional[MachineConfig] = None
-        self._sig_digest: Optional[str] = None
 
     def addrs_for(self, key: Sequence[int]) -> List[int]:
         """Rebased address list for a block of this class (plain ints)."""
@@ -267,25 +261,15 @@ class RowTemplate:
         it the columnar plan/memo state keyed on program identity).
         """
         if self._timing is _UNBUILT or self._timing_config is not config:
-            sig_digest = self.sig_digest() if artifacts.active_store() is not None else None
-            self._timing = pooled_timing_program(
-                self.trace, self.signature, config, sig_digest
-            )
+            self._timing = pooled_timing_program(self.trace, self.signature, config)
             self._timing_config = config
         return self._timing  # type: ignore[return-value]
 
     def functional_program(self) -> Optional[FunctionalProgram]:
         """Lazily built semantic program (``None`` -> reference walk)."""
         if self._functional is _UNBUILT:
-            sig_digest = self.sig_digest() if artifacts.active_store() is not None else None
-            self._functional = pooled_functional_program(self.trace, sig_digest)
+            self._functional = pooled_functional_program(self.trace)
         return self._functional  # type: ignore[return-value]
-
-    def sig_digest(self) -> str:
-        """Cross-process digest of the structural signature (cached)."""
-        if self._sig_digest is None:
-            self._sig_digest = artifacts.signature_digest(self.signature)
-        return self._sig_digest
 
 
 class TraceCompiler:
@@ -298,7 +282,6 @@ class TraceCompiler:
         max_edge: int = MAX_EDGE,
         nest=None,
         config: Optional[MachineConfig] = None,
-        store: Optional[artifacts.ArtifactStore] = None,
     ) -> None:
         self.kernel = kernel
         self.edge = edge
@@ -318,35 +301,25 @@ class TraceCompiler:
         # programs are not, and one digest per (kernel, machine) keeps the
         # invalidation story uniform.
         self.config = config if config is not None else getattr(kernel, "config", None)
-        self.store = store if store is not None else artifacts.active_store()
         self.loaded_classes = 0
         self.compiled_classes = 0
         self.load_demotions = 0
         self.fit_seconds = 0.0
         self.verify_seconds = 0.0
-        self._bundle_digest: Optional[str] = None
-        self._bundle_inputs: Optional[Dict] = None
-        #: Raw stored class entries (repr(cls) -> payload | "demoted").
-        self._stored_classes: Dict[str, object] = {}
-        #: Read-modify-write image flushed on every newly resolved class.
-        self._bundle_out: Optional[Dict] = None
-        inputs = self._bundle_key_inputs() if self.config is not None else None
-        if inputs is None:
-            # Kernels without an identity neither share nor persist classes.
-            self.store = None
+        self._bundle_inputs = (
+            self._bundle_key_inputs() if self.config is not None else None
+        )
+        if self._bundle_inputs is None:
+            # Kernels without an identity share no classes.
             self._shared = None
             return
-        self._bundle_inputs = inputs
-        self._bundle_digest = artifacts.artifact_digest(inputs)
+        digest = artifacts.artifact_digest(self._bundle_inputs)
         #: This identity's process-wide resolved classes; compilers with
         #: other edge bounds classify differently and keep their own.
-        self._shared = pooled_class_bundle((self._bundle_digest, edge, self.max_edge))
+        self._shared = pooled_class_bundle((digest, edge, self.max_edge))
         if self._shared.edge is not None:
-            # Adopt the width earlier compilers widened to, as a stored
-            # bundle's is adopted below.
+            # Adopt the width earlier compilers widened to.
             self.edge = self._shared.edge
-        if self.store is not None:
-            self._load_bundle()
 
     # ------------------------------------------------------------------
 
@@ -367,11 +340,6 @@ class TraceCompiler:
                 # edge bands and reclassify everything under the new width.
                 self.edge += 1
                 self._classes.clear()
-                # Stored entries are keyed under the old edge's class
-                # labels; drop them and let the write-back path persist
-                # the reclassified bundle under the new edge.
-                self._stored_classes = {}
-                self._bundle_out = None
                 continue
             break
         if template is None:
@@ -380,7 +348,7 @@ class TraceCompiler:
         self.templated_blocks += 1
         return template, template.addrs_for(block.key)
 
-    # -- artifact-store persistence ------------------------------------
+    # -- class sharing -------------------------------------------------
 
     def _bundle_key_inputs(self) -> Optional[Dict]:
         """Canonical identity of this (kernel, machine) pair, or ``None``.
@@ -415,25 +383,8 @@ class TraceCompiler:
         except (AttributeError, TypeError):
             return None
 
-    def _load_bundle(self) -> None:
-        data = self.store.load("templates", self._bundle_digest)
-        if not isinstance(data, dict):
-            return
-        classes = data.get("classes")
-        edge = data.get("edge")
-        if not isinstance(classes, dict) or not isinstance(edge, int):
-            return
-        if edge < self.edge or edge > self.max_edge:
-            return  # incompatible edge width; recompile from scratch
-        # Adopt the stored edge: a bundle written after live widening lets
-        # warm processes skip the widen-and-recompile round entirely.
-        self.edge = edge
-        self._stored_classes = classes
-
     def _resolve_class(self, cls: Tuple, block: KernelBlock) -> Optional[RowTemplate]:
-        template = self._adopt_shared(cls, block)
-        if template is _MISS:
-            template = self._load_class(cls, block)
+        template = self._adopt(cls, block)
         if template is not _MISS:
             return template  # type: ignore[return-value]
         start = perf_counter()
@@ -443,86 +394,39 @@ class TraceCompiler:
         self.compiled_classes += 1
         COMPILE_STATS["fit_seconds"] += elapsed
         COMPILE_STATS["compiled_classes"] += 1
-        self._record_class(cls, template)
+        self._share_class(cls, template)
         return template
 
-    def _adopt_shared(self, cls: Tuple, block: KernelBlock):
-        """Adopt this process's entry for the class, or :data:`_MISS`."""
-        shared = self._shared
-        if shared is None or shared.edge != self.edge:
-            return _MISS
-        entry = shared.classes.get(cls, _MISS)
-        if entry is None:
-            self.loaded_classes += 1
-            COMPILE_STATS["loaded_classes"] += 1
-            return None
-        if entry is _MISS:
-            return _MISS
-        template = self._adopt(cls, block, *entry)
-        if template is not None and repr(cls) not in self._stored_classes:
-            self._store_class(cls, template)  # no-op without a store
-        return template
+    def _adopt(self, cls: Tuple, block: KernelBlock):
+        """Adopt this process's entry for the class, or :data:`_MISS`.
 
-    def _load_class(self, cls: Tuple, block: KernelBlock):
-        """Adopt a stored class entry, or :data:`_MISS` to compile live.
-
-        A stored entry holds the class's affine address model and the
-        digest of its signature; :meth:`_adopt` checks it against one live
-        emit.  A malformed entry falls back to a live compile.
-        """
-        stored = self._stored_classes.get(repr(cls)) if self._stored_classes else None
-        if stored is None:
-            return _MISS
-        if stored == "demoted":
-            self.loaded_classes += 1
-            COMPILE_STATS["loaded_classes"] += 1
-            self._share_class(cls, None)
-            return None
-        try:
-            key0 = tuple(stored["key0"])
-            addr0 = np.asarray(stored["addr0"], dtype=np.int64)
-            deltas = tuple(
-                (int(d), np.asarray(vals, dtype=np.int64)) for d, vals in stored["deltas"]
-            )
-            sig_digest = stored["sig"]
-        except (KeyError, TypeError, ValueError):
-            return _MISS
-        if not isinstance(sig_digest, str) or len(key0) != len(self.shape) or any(
-            delta.shape != addr0.shape or not 0 <= d < len(key0) for d, delta in deltas
-        ):
-            return _MISS
-        template = self._adopt(cls, block, key0, addr0, deltas, sig_digest)
-        if template is not None:
-            self._share_class(cls, template)
-        return template
-
-    def _adopt(self, cls, block, key0, addr0, deltas, signature) -> Optional[RowTemplate]:
-        """Trust a resolved class after one live emit of ``block``.
-
-        The entry holds no trace, only the class's affine address model and
-        its ``signature`` (an interned signature in-process, its digest in
-        a stored entry).  The live emit of the block actually being
+        A resolved entry is trusted after one live emit of ``block``.  It
+        holds no trace, only the class's affine address model and its
+        interned signature.  The live emit of the block actually being
         replayed must reproduce the signature exactly, and its addresses
         must equal the model's prediction for the block's key.  That trace
         then becomes the template — exactly what a live compile starting
         at this block builds.  A failed check demotes the class, as the
         live path does on a failed probe, and records the verdict.
         """
+        shared = self._shared
+        if shared is None or shared.edge != self.edge:
+            return _MISS
+        entry = shared.classes.get(cls, _MISS)
+        if entry is _MISS:
+            return _MISS
+        if entry is None:
+            self.loaded_classes += 1
+            COMPILE_STATS["loaded_classes"] += 1
+            return None
+        key0, addr0, deltas, signature = entry
         start = perf_counter()
         expected = addr0
         for d, delta in deltas:
             expected = expected + delta * (block.key[d] - key0[d])
         live = self.kernel.emit(block)
-        live_sig = trace_signature(live)
         addrs = trace_addresses(live)
-        if isinstance(signature, str):
-            sig_digest: Optional[str] = signature
-            ok = artifacts.signature_digest(live_sig) == signature
-            signature = live_sig
-        else:
-            sig_digest = None
-            ok = live_sig == signature
-        ok = ok and addrs == expected.tolist()
+        ok = trace_signature(live) == signature and addrs == expected.tolist()
         elapsed = perf_counter() - start
         self.verify_seconds += elapsed
         COMPILE_STATS["verify_seconds"] += elapsed
@@ -530,20 +434,13 @@ class TraceCompiler:
         if not ok:
             self.load_demotions += 1
             COMPILE_STATS["load_demotions"] += 1
-            self._record_class(cls, None)
+            self._share_class(cls, None)
             return None
         self.loaded_classes += 1
         COMPILE_STATS["loaded_classes"] += 1
-        template = RowTemplate(
+        return RowTemplate(
             live, block.key, np.asarray(addrs, dtype=np.int64), deltas, signature=signature
         )
-        template._sig_digest = sig_digest
-        return template
-
-    def _record_class(self, cls: Tuple, template: Optional[RowTemplate]) -> None:
-        """Publish a freshly resolved class (or demotion verdict)."""
-        self._share_class(cls, template)
-        self._store_class(cls, template)
 
     def _share_class(self, cls: Tuple, template: Optional[RowTemplate]) -> None:
         """Keep a resolved class in this identity's process-wide bundle."""
@@ -562,30 +459,6 @@ class TraceCompiler:
         # the entry adds no copy of it.
         template.signature = intern_signature(template.signature)
         shared.classes[cls] = (template.key0, template.addr0, template.deltas, template.signature)
-
-    def _store_class(self, cls: Tuple, template: Optional[RowTemplate]) -> None:
-        """Write a resolved class (or demotion verdict) to the artifact store."""
-        if self.store is None or self._bundle_digest is None:
-            return
-        if template is None:
-            entry: object = "demoted"
-        else:
-            entry = {
-                "key0": list(template.key0),
-                "addr0": template.addr0.tolist(),
-                "deltas": [[d, delta.tolist()] for d, delta in template.deltas],
-                "sig": template.sig_digest(),
-            }
-        if self._bundle_out is None:
-            self._bundle_out = {"edge": self.edge, "classes": dict(self._stored_classes)}
-        self._bundle_out["edge"] = self.edge
-        self._bundle_out["classes"][repr(cls)] = entry
-        # Read-modify-write with atomic replace: concurrent writers may
-        # race, but entries are deterministic per digest, so last-writer-
-        # wins only ever loses still-recomputable classes, never coherence.
-        self.store.store(
-            "templates", self._bundle_digest, self._bundle_out, inputs=self._bundle_inputs
-        )
 
     # ------------------------------------------------------------------
 

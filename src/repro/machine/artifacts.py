@@ -1,32 +1,24 @@
-"""Content-addressed on-disk artifact store for the compile layer.
+"""Content-addressed on-disk artifact store.
 
-The trace-replay engine's cold start is dominated by work whose result is a
-pure function of the simulator sources, the machine configuration and the
-kernel being compiled: template fitting (probe emits + affine address-model
-fits in :mod:`repro.kernels.template`), ``TimingProgram`` /
-``FunctionalProgram`` lowering (:mod:`repro.machine.compiled`) and columnar
-plan construction (:mod:`repro.machine.columnar`).  This module persists
-those products across processes the same way :mod:`repro.bench.cache`
-persists measurements: one JSON file per artifact under
-``<root>/<kind>/<digest[:2]>/<digest>.json``, where the digest hashes a
-canonical JSON rendering of every input that determines the artifact —
-:func:`code_version`, :func:`machine_digest`, the kernel/grid identity and
-the trace signature.  Invalidation is therefore automatic: any source or
-config change produces a different digest and the stale entry is simply
-never looked up again.
+Steady-state elision (:mod:`repro.machine.steady`) finds a band period,
+verifies it and records it as ``(period, delta, signature)``.  That record
+is a pure function of the simulator sources, the machine configuration and
+the kernel, so this module persists it across processes the same way
+:mod:`repro.bench.cache` persists measurements: one JSON file per entry
+under ``<root>/<kind>/<digest[:2]>/<digest>.json``, where the digest hashes
+a canonical JSON rendering of every input that determines the entry —
+:func:`code_version`, :func:`machine_digest` and the kernel/grid identity.
+Invalidation is therefore automatic: any source or config change produces
+a different digest and the stale entry is simply never looked up again.
+The only kind written is ``steady``; ``cache stats`` still lists older
+kinds a store may hold, and ``cache prune`` removes them.
 
 Safety contract: every entry file seals its payload with a sha256 of the
 payload's exact bytes (:func:`write_entry`), checked on every read
 (:func:`read_entry`); a truncated, bit-flipped or hand-edited entry counts
-as ``invalid`` and is a miss, so the artifact is rebuilt live.
-Deserialized programs therefore need no probe: their stored form is
-bit-exact (JSON round-trips Python ints and float ``repr`` exactly), the
-checksum pins those bytes, and their digest pins the trace signature they
-were lowered from.  A stored template holds no trace, only its affine
-address model and signature digest; the template compiler trusts it only
-after one live emit of the block being replayed reproduces both, and
-demotes the class permanently on mismatch — exactly as the live compile
-path does.
+as ``invalid`` and is a miss, so the record is rebuilt live.  A loaded
+steady record is never trusted blindly either: the controller still runs
+its verification window before jumping.
 
 The store is optional and off by default.  It activates when a path is
 installed explicitly (:func:`install_artifact_store`, reached through the
@@ -57,7 +49,7 @@ ARTIFACT_SCHEMA = 1
 
 #: Subpackages whose sources determine simulation results.  ``bench`` and
 #: ``cli`` are deliberately excluded: harness changes must not invalidate
-#: measurements or compiled artifacts.
+#: measurements or stored records.
 _SIMULATION_PACKAGES = ("isa", "machine", "kernels", "stencils", "core")
 
 
@@ -204,8 +196,8 @@ def scan_tree(root) -> Dict:
     """Entry count / byte size / age span of a ``*.json`` artifact tree.
 
     The aggregate keys are kept for existing consumers; ``kinds`` breaks
-    entry counts and byte sizes down per artifact kind (``timing``,
-    ``functional``, ``templates``, ``steady``, ...).
+    entry counts and byte sizes down per artifact kind (``steady``, or an
+    older kind such as ``templates`` left by earlier versions).
     """
     root = Path(root)
     entries = 0
@@ -308,14 +300,16 @@ def prune_tree(root, max_age_days: Optional[float] = None,
 
 
 class ArtifactStore:
-    """Disk-backed store of compiled artifacts, one JSON file per digest.
+    """Disk-backed store of artifacts, one JSON file per digest.
 
-    ``kind`` partitions the namespace (``timing`` / ``functional`` /
-    ``templates``); the digest already encodes every input, so ``load`` only
-    cross-checks the stored meta block as a belt-and-braces guard against a
-    digest collision across schema versions.  All read/parse/checksum
-    failures count as misses — a corrupt, truncated or edited entry must
-    never surface as an error or a wrong answer, only as a live rebuild.
+    ``kind`` partitions the namespace (``steady``); the digest already
+    encodes every input, so ``load`` only cross-checks the stored meta block
+    as a belt-and-braces guard against a digest collision across schema
+    versions.  All read/parse/checksum failures count as misses — a
+    corrupt, truncated or edited entry must never surface as an error or a
+    wrong answer, only as a live rebuild.  The root is created up front, so
+    callers may place their own files in it; a root that cannot be created
+    counts a ``store_error``, as a failed write does.
     """
 
     def __init__(self, root) -> None:
@@ -325,6 +319,10 @@ class ArtifactStore:
         self.stores = 0
         self.invalid = 0
         self.store_errors = 0
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            self.store_errors += 1
 
     def path_for(self, kind: str, digest: str) -> Path:
         return self.root / kind / digest[:2] / f"{digest}.json"
@@ -411,7 +409,7 @@ def install_artifact_store(store=None) -> Optional[ArtifactStore]:
 
 
 def active_store() -> Optional[ArtifactStore]:
-    """The store compile-layer callers should use, or ``None`` (disabled)."""
+    """The store steady-record callers should use, or ``None`` (disabled)."""
     if _active_explicit:
         return _active_store
     path = os.environ.get("REPRO_ARTIFACTS")

@@ -234,73 +234,6 @@ class _MemPlan:
         self.chunks = tuple(chunks)
 
 
-def plan_payload_for(program: TimingProgram) -> Dict:
-    """JSON-safe rendering of a program's memory plan (artifact store).
-
-    A :class:`_MemPlan` is a pure function of its program, so the payload
-    only has to carry the derived arrays; each chunk's step slice is
-    rebuilt by indexing the (deserialized) program's own ``steps``, which
-    keeps the payload small and the reconstruction exact.
-    """
-    plan = _MemPlan(program)
-    return {
-        "n_steps": len(program.steps),
-        "m_ai": plan.m_ai.tolist(),
-        "m_off": plan.m_off.tolist(),
-        "m_nw": plan.m_nw.tolist(),
-        "ops": [list(op) for op in plan.ops],
-        "n_loads": plan.n_loads,
-        "live_in": list(plan.live_in),
-        "write_union": list(plan.write_union),
-        "chunks": [
-            [list(live), list(written), list(ports), lo, hi]
-            for _steps, live, written, ports, lo, hi in plan.chunks
-        ],
-    }
-
-
-def plan_from_payload(program: TimingProgram, payload) -> Optional[_MemPlan]:
-    """Rebuild a :class:`_MemPlan`; ``None`` on any shape mismatch.
-
-    ``None`` sends the caller to live plan construction — a corrupt or
-    stale payload must never produce a wrong plan, and the step-count guard
-    rejects payloads that were serialized against a different program.
-    """
-    try:
-        steps = program.steps
-        if payload["n_steps"] != len(steps):
-            return None
-        chunks_raw = payload["chunks"]
-        if len(chunks_raw) != (len(steps) + SB_CHUNK - 1) // SB_CHUNK:
-            return None
-        plan = object.__new__(_MemPlan)
-        plan.m_ai = np.asarray(payload["m_ai"], dtype=np.int64)
-        plan.m_off = np.asarray(payload["m_off"], dtype=np.int64)
-        plan.m_nw = np.asarray(payload["m_nw"], dtype=np.int64)
-        plan.ops = tuple(tuple(op) for op in payload["ops"])
-        plan.n_loads = payload["n_loads"]
-        plan.live_in = tuple(payload["live_in"])
-        plan.write_union = tuple(payload["write_union"])
-        chunks: List[Tuple] = []
-        for idx, (live, written, ports, lo, hi) in enumerate(chunks_raw):
-            chunks.append(
-                (
-                    steps[idx * SB_CHUNK : (idx + 1) * SB_CHUNK],
-                    tuple(live),
-                    tuple(written),
-                    tuple(ports),
-                    lo,
-                    hi,
-                )
-            )
-        plan.chunks = tuple(chunks)
-        if len(plan.m_ai) != len(plan.m_off) or len(plan.m_ai) != len(plan.m_nw):
-            return None
-        return plan
-    except (KeyError, TypeError, ValueError, IndexError):
-        return None
-
-
 class ColumnarShare:
     """Cross-run columnar state: memory plans and scoreboard memo tables.
 
@@ -482,13 +415,7 @@ class ColumnarReplayer:
         """Replay run ``entries[i:j]`` columnar; returns the next index."""
         plan = self._plans.get(program)
         if plan is None:
-            # Store-loaded programs ship their serialized plan; a malformed
-            # payload silently falls back to live construction.
-            if program.plan_payload is not None:
-                plan = plan_from_payload(program, program.plan_payload)
-            if plan is None:
-                plan = _MemPlan(program)
-            self._plans[program] = plan
+            plan = self._plans[program] = _MemPlan(program)
 
         # Vectorized address-stream precomputation for the whole run: the
         # start word address, first line and last line of every memop of

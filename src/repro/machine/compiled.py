@@ -57,7 +57,6 @@ from repro.isa.instructions import (
     MOVA_TILE_TO_VEC,
     MOVA_VEC_TO_TILE,
     PRFM,
-    PortClass,
     SCALAR_OP,
     SET_LANES,
     ST1D,
@@ -65,7 +64,6 @@ from repro.isa.instructions import (
     ZERO_TILE,
 )
 from repro.isa.registers import NUM_TILES, NUM_VREGS, SVL_LANES
-from repro.machine import artifacts
 from repro.machine.config import MachineConfig
 
 # -- scoreboard slot universe ------------------------------------------------
@@ -226,7 +224,6 @@ class TimingProgram:
         "useful_flops",
         "n_prfm",
         "n_addrs",
-        "plan_payload",
     )
 
     def __init__(
@@ -247,9 +244,6 @@ class TimingProgram:
         self.useful_flops = useful_flops
         self.n_prfm = n_prfm
         self.n_addrs = n_addrs
-        #: Serialized columnar plan riding along with a store-loaded program
-        #: (see :mod:`repro.machine.columnar`); ``None`` on live builds.
-        self.plan_payload = None
 
 
 #: Config-independent static step data per instruction *signature*:
@@ -358,84 +352,6 @@ def build_timing_program(
     )
 
 
-# -- program serialization (artifact store payloads) -------------------------
-
-
-def timing_program_to_payload(program: TimingProgram) -> Dict:
-    """JSON-safe rendering of a :class:`TimingProgram`.
-
-    Steps contain only ints, tuples of ints, bools and :class:`PortClass`
-    members, all of which JSON round-trips exactly, so a deserialized
-    program replays bit-identically to the live build it came from.
-    """
-    steps = []
-    for dep_slots, write_slots, port_id, latency, ii, kind, memops in program.steps:
-        if kind == K_PRFM:
-            mem = [memops[0], memops[1], bool(memops[2])]
-        else:
-            mem = [list(m) for m in memops]
-        steps.append([list(dep_slots), list(write_slots), port_id, latency, ii, kind, mem])
-    return {
-        "steps": steps,
-        "ports": [port.name for port in program.ports],
-        "port_counts": {port.name: n for port, n in program.port_counts.items()},
-        "flops": program.flops,
-        "useful_flops": program.useful_flops,
-        "n_prfm": program.n_prfm,
-        "n_addrs": program.n_addrs,
-    }
-
-
-def timing_program_from_payload(data: Dict) -> Optional[TimingProgram]:
-    """Rebuild a :class:`TimingProgram`; ``None`` on any malformation."""
-    try:
-        steps = []
-        for dep_slots, write_slots, port_id, latency, ii, kind, mem in data["steps"]:
-            if kind == K_PRFM:
-                memops: Tuple = (mem[0], mem[1], bool(mem[2]))
-            else:
-                memops = tuple(tuple(m) for m in mem)
-            steps.append(
-                (tuple(dep_slots), tuple(write_slots), port_id, latency, ii, kind, memops)
-            )
-        ports = tuple(PortClass[name] for name in data["ports"])
-        port_counts: Counter = Counter(
-            {PortClass[name]: n for name, n in data["port_counts"].items()}
-        )
-        return TimingProgram(
-            tuple(steps),
-            ports,
-            port_counts,
-            data["flops"],
-            data["useful_flops"],
-            data["n_prfm"],
-            data["n_addrs"],
-        )
-    except (KeyError, TypeError, ValueError, IndexError):
-        return None
-
-
-def _timing_artifact_digest(config: MachineConfig, sig_digest: str) -> str:
-    return artifacts.artifact_digest(
-        {
-            "kind": "timing",
-            "meta": artifacts.artifact_meta(),
-            "machine": artifacts.machine_digest(config),
-            "signature": sig_digest,
-        }
-    )
-
-
-def _functional_artifact_digest(sig_digest: str) -> str:
-    return artifacts.artifact_digest(
-        {
-            "kind": "functional",
-            "meta": artifacts.artifact_meta(),
-            "signature": sig_digest,
-        }
-    )
-
-
 # -- the program pool ---------------------------------------------------------
 
 #: Default in-process pool capacity.  A full registry × {LX2, M4} × fig12
@@ -459,11 +375,6 @@ class ProgramPool:
     capacity bounds that retention (oldest entries — configs included — are
     evicted LRU-first instead of living for the process lifetime).
 
-    On an in-process miss the pool falls through to the process-wide
-    :class:`~repro.machine.artifacts.ArtifactStore` (when one is active)
-    before lowering live; live builds are written back so later processes
-    skip the build entirely.
-
     The pool also holds the resolved shape classes of every kernel identity
     (:class:`ClassBundle`, LRU under the same capacity) and the interned
     signatures their entries reference, so :func:`clear_program_pool`
@@ -481,18 +392,11 @@ class ProgramPool:
         self.misses = 0
         self.builds = 0
         self.evictions = 0
-        self.store_hits = 0
-        self.store_writes = 0
         self.functional_builds = 0
-        self.functional_store_hits = 0
         self.build_seconds = 0.0
 
     def lookup(
-        self,
-        trace: Sequence[Instruction],
-        signature: Tuple,
-        config: MachineConfig,
-        sig_digest: Optional[str] = None,
+        self, trace: Sequence[Instruction], signature: Tuple, config: MachineConfig
     ) -> Optional[TimingProgram]:
         key = (id(config), signature)
         entry = self._entries.get(key)
@@ -501,47 +405,14 @@ class ProgramPool:
             self._entries.move_to_end(key)
             return entry[1]
         self.misses += 1
-        store = artifacts.active_store()
-        program: Optional[TimingProgram] = None
-        digest: Optional[str] = None
-        if store is not None:
-            if sig_digest is None:
-                sig_digest = artifacts.signature_digest(signature)
-            digest = _timing_artifact_digest(config, sig_digest)
-            data = store.load("timing", digest)
-            if data is not None:
-                program = timing_program_from_payload(data)
-                if program is not None:
-                    program.plan_payload = data.get("plan")
-                    self.store_hits += 1
-        built = program is None
-        if built:
-            start = perf_counter()
-            program = build_timing_program(trace, config)
-            self.build_seconds += perf_counter() - start
-            self.builds += 1
+        start = perf_counter()
+        program = build_timing_program(trace, config)
+        self.build_seconds += perf_counter() - start
+        self.builds += 1
         self._entries[key] = (config, program)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-        if built and store is not None and program is not None:
-            payload = timing_program_to_payload(program)
-            # Ship the columnar Phase-M plan alongside the program so warm
-            # processes skip plan construction too.  Imported lazily — the
-            # columnar module sits above this one in the import graph.
-            from repro.machine.columnar import plan_payload_for
-
-            payload["plan"] = plan_payload_for(program)
-            if store.store(
-                "timing",
-                digest,
-                payload,
-                inputs={
-                    "machine": artifacts.machine_digest(config),
-                    "signature": sig_digest,
-                },
-            ):
-                self.store_writes += 1
         return program
 
     def class_bundle(self, key: Tuple) -> "ClassBundle":
@@ -573,8 +444,7 @@ class ProgramPool:
         self._signatures.clear()
         if reset_stats:
             self.hits = self.misses = self.builds = self.evictions = 0
-            self.store_hits = self.store_writes = 0
-            self.functional_builds = self.functional_store_hits = 0
+            self.functional_builds = 0
             self.build_seconds = 0.0
 
     def stats(self) -> Dict:
@@ -586,10 +456,7 @@ class ProgramPool:
             "builds": self.builds,
             "build_seconds": self.build_seconds,
             "evictions": self.evictions,
-            "store_hits": self.store_hits,
-            "store_writes": self.store_writes,
             "functional_builds": self.functional_builds,
-            "functional_store_hits": self.functional_store_hits,
         }
 
 
@@ -613,45 +480,18 @@ _POOL = ProgramPool()
 
 
 def pooled_timing_program(
-    trace: Sequence[Instruction],
-    signature: Tuple,
-    config: MachineConfig,
-    sig_digest: Optional[str] = None,
+    trace: Sequence[Instruction], signature: Tuple, config: MachineConfig
 ) -> Optional[TimingProgram]:
     """Build (or reuse) the timing program for a trace with known signature."""
-    return _POOL.lookup(trace, signature, config, sig_digest)
+    return _POOL.lookup(trace, signature, config)
 
 
-def pooled_functional_program(
-    trace: Sequence[Instruction], sig_digest: Optional[str] = None
-) -> Optional["FunctionalProgram"]:
-    """Build a functional program, going through the artifact store.
-
-    Functional programs are config-independent, so the artifact digest
-    covers only the trace signature (plus the shared meta block).  Without
-    an active store or a signature digest this is a plain live build.
-    """
-    store = artifacts.active_store()
-    digest: Optional[str] = None
-    if store is not None and sig_digest is not None:
-        digest = _functional_artifact_digest(sig_digest)
-        data = store.load("functional", digest)
-        if data is not None:
-            program = functional_program_from_payload(data)
-            if program is not None:
-                _POOL.functional_store_hits += 1
-                return program
+def pooled_functional_program(trace: Sequence[Instruction]) -> Optional["FunctionalProgram"]:
+    """Build a functional program, counting it in the pool's stats."""
     start = perf_counter()
     program = build_functional_program(trace)
     _POOL.build_seconds += perf_counter() - start
     _POOL.functional_builds += 1
-    if store is not None and digest is not None and program is not None:
-        store.store(
-            "functional",
-            digest,
-            functional_program_to_payload(program),
-            inputs={"signature": sig_digest},
-        )
     return program
 
 
@@ -766,32 +606,3 @@ def build_functional_program(trace: Sequence[Instruction]) -> Optional[Functiona
             ops.append((F_FMLA_M, ins.tile.index, ins.a_base.index, ins.b.index, ins.idx))
         # SCALAR_OP: no architectural effect, no op.
     return FunctionalProgram(tuple(ops), len(trace), addr_idx)
-
-
-def functional_program_to_payload(program: FunctionalProgram) -> Dict:
-    """JSON-safe rendering of a :class:`FunctionalProgram`.
-
-    The only non-integer operand is the ``F_CONST`` lane array; JSON float
-    ``repr`` round-trips doubles exactly, so the constants stay bit-exact.
-    """
-    ops = []
-    for op in program.ops:
-        if op[0] == F_CONST:
-            ops.append([F_CONST, op[1], ["v", op[2].tolist()]])
-        else:
-            ops.append(list(op))
-    return {"ops": ops, "count": program.count, "n_addrs": program.n_addrs}
-
-
-def functional_program_from_payload(data: Dict) -> Optional[FunctionalProgram]:
-    """Rebuild a :class:`FunctionalProgram`; ``None`` on any malformation."""
-    try:
-        ops: List[Tuple] = []
-        for op in data["ops"]:
-            if op[0] == F_CONST:
-                ops.append((F_CONST, op[1], np.array(op[2][1], dtype=np.float64)))
-            else:
-                ops.append(tuple(op))
-        return FunctionalProgram(tuple(ops), data["count"], data["n_addrs"])
-    except (KeyError, TypeError, ValueError, IndexError):
-        return None

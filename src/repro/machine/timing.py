@@ -67,8 +67,9 @@ class SimMode:
     ``engine`` (:data:`ENGINES`) and ``steady`` (:data:`STEADY_MODES`) pick
     the replay and the elision; ``sample`` forces band-sampled (``True``)
     or full exact (``False``) timing, ``None`` choosing by grid size;
-    ``artifact_dir`` installs the compiled-artifact store
-    (:mod:`repro.machine.artifacts`).  Every instance is valid, so layers
+    ``artifact_dir`` installs the artifact store
+    (:mod:`repro.machine.artifacts`) that persists steady-state period
+    records across processes.  Every instance is valid, so layers
     below the public edges take one ``mode`` instead of four keywords.
     """
 
@@ -139,9 +140,9 @@ class TimingEngine:
         self.config = config
         self.mode = mode if mode is not None else SimMode.resolve()
         if self.mode.artifact_dir is not None:
-            # Installs the process-wide compiled-artifact store: template
-            # bundles, lowered programs and columnar plans persist across
-            # processes (see :mod:`repro.machine.artifacts`).
+            # Installs the process-wide artifact store: steady-state period
+            # records persist across processes (see
+            # :mod:`repro.machine.artifacts`).
             from repro.machine.artifacts import install_artifact_store
 
             install_artifact_store(self.mode.artifact_dir)

@@ -4,7 +4,7 @@ The batch harness (:mod:`repro.bench.parallel`) forks a fresh worker pool
 per sweep, so every request pays process spin-up and pool re-warm.  This
 package keeps the pool — and with it every worker's
 :class:`~repro.bench.runner.ExperimentRunner`, the 256-entry compiled
-program pool, columnar plans and the AOT artifact store — alive across
+program pool, columnar plans and template class bundles — alive across
 requests, behind an asyncio front end:
 
 * :class:`~repro.service.engine.StencilService` — ``submit(cells, lane)``

@@ -7,9 +7,8 @@ per job — a 10,000-cell batch sweep holds a worker for exactly one cell
 at a time and an interactive request overtakes it at the next completion.
 Worker processes live for the service's whole lifetime and keep one
 :class:`~repro.bench.runner.ExperimentRunner` per request profile, so the
-compiled program pool, columnar plans, template bundles and the AOT
-artifact store stay warm across requests instead of being rebuilt per
-sweep.
+compiled program pool, columnar plans, template bundles and steady
+records stay warm across requests instead of being rebuilt per sweep.
 
 Request coalescing: every measurable task is keyed by the same
 content-addressed digest the disk cache uses

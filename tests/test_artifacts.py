@@ -1,16 +1,20 @@
-"""Round-trip and safety tests for the AOT compiled-artifact store.
+"""Round-trip and safety tests for the artifact store.
 
-The store promises that a warm process — templates, timing/functional
-programs and columnar plans all deserialized from disk — produces counters
-and grids bit-identical to a cold live build, and that anything wrong with
-the on-disk state (truncation, version skew, tampering) degrades to the
-live path rather than to wrong answers.  These tests enforce both halves
-over the whole method registry on both machine presets, mirroring
-``tests/test_engine_equivalence.py``.
+The store persists steady-state period records
+(:func:`repro.machine.steady.steady_record_key`) and nothing else.  These
+tests enforce that an active store changes no counter or grid anywhere in
+the method registry, that a fresh process reads nothing compiled from it,
+that anything wrong with a stored record (truncation, version skew,
+tampering, a hand edit) degrades to live detection rather than to wrong
+answers, and that kinds written by earlier versions stay manageable.
+Shape classes are shared within one process only
+(``tests/test_class_reuse.py``); the in-process adoption paths they take
+are checked here too.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import time
@@ -21,7 +25,6 @@ import pytest
 from repro.cli import main
 from repro.isa.instructions import FMLA, FMOPA, LD1D, ST1D_SLICE
 from repro.isa.registers import TileReg, VReg
-from repro.kernels import template as template_mod
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import METHODS, make_kernel
 from repro.kernels.template import TraceCompiler, compile_stats, reset_compile_stats
@@ -87,37 +90,52 @@ def _timing_run(method, machine_name, store_dir, **build_kw):
     return TimingEngine(config, SimMode(engine="compiled")).run(kernel, sample=False, warm=True).to_dict()
 
 
+#: The LX2 cell on which hstencil engages steady elision
+#: (``ENGAGE_GRIDS`` in ``tests/test_steady_timing.py``).
+ENGAGE = {"stencil": "box2d25p", "rows": 515, "cols": 512}
+
+
+def _steady_run(store_dir):
+    """One exact run of the engaging cell; ``(counters, SteadyStats)``."""
+    install_artifact_store(str(store_dir) if store_dir is not None else None)
+    clear_program_pool(reset_stats=True)
+    reset_compile_stats()
+    kernel, config, _, _ = _build("hstencil", "LX2", **ENGAGE)
+    engine = TimingEngine(config, SimMode(engine="compiled"))
+    counters = engine.run(kernel, sample=False, warm=False).to_dict()
+    return counters, engine.steady_stats
+
+
 # -- round-trip bit identity --------------------------------------------------
 
 
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_timing_round_trip_bit_identical(method, machine_name, tmp_path):
-    """serialize -> deserialize -> replay equals the live build exactly."""
+    """An active store changes no counter, and a fresh process fits live."""
     live = _timing_run(method, machine_name, None)
     if live is None:
         pytest.skip(f"{method} not applicable on {machine_name}")
     cold = _timing_run(method, machine_name, tmp_path)
-    cold_stats = compile_stats()
+    cold_stats, cold_pool = compile_stats(), program_pool_stats()
     warm = _timing_run(method, machine_name, tmp_path)
-    warm_stats = compile_stats()
+    warm_stats, warm_pool = compile_stats(), program_pool_stats()
     assert cold == live
     assert warm == live
-    # The warm process must not have fitted anything live ...
-    assert warm_stats["compiled_classes"] == 0
-    assert warm_stats["fit_seconds"] == 0.0
-    assert warm_stats["load_demotions"] == 0
-    # ... every class the cold run compiled came back from the store.
-    assert warm_stats["loaded_classes"] == cold_stats["compiled_classes"]
-    pool = program_pool_stats()
-    assert pool["builds"] == 0
-    assert pool["store_hits"] >= 1
+    # Nothing compiled crosses the process boundary: the warm process
+    # fits and lowers exactly what the cold one did.
+    for key in ("compiled_classes", "loaded_classes", "load_demotions", "probe_emits"):
+        assert warm_stats[key] == cold_stats[key], key
+    assert warm_stats["compiled_classes"] >= 1
+    assert warm_pool["builds"] == cold_pool["builds"] >= 1
+    assert set(os.listdir(tmp_path)) <= {"steady"}
 
 
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 @pytest.mark.parametrize("method", ["hstencil", "vector-only"])
 def test_functional_round_trip_bit_identical(method, machine_name, tmp_path):
     grids = {}
+    builds = {}
     for phase, store_dir in [("live", None), ("cold", tmp_path), ("warm", tmp_path)]:
         install_artifact_store(str(store_dir) if store_dir is not None else None)
         clear_program_pool(reset_stats=True)
@@ -129,19 +147,20 @@ def test_functional_round_trip_bit_identical(method, machine_name, tmp_path):
         fe = FunctionalEngine(mem)
         fe.run_kernel(kernel, engine="compiled")
         grids[phase] = (dst.get_full().copy(), fe.instructions_executed)
-    warm_pool = program_pool_stats()
+        builds[phase] = program_pool_stats()["functional_builds"]
     assert np.array_equal(grids["cold"][0], grids["live"][0])
     assert np.array_equal(grids["warm"][0], grids["live"][0])
     assert grids["cold"][1] == grids["live"][1] == grids["warm"][1]
-    assert warm_pool["functional_builds"] == 0
-    assert warm_pool["functional_store_hits"] >= 1
+    # Every process lowers its functional programs live.
+    assert builds["warm"] == builds["cold"] == builds["live"] >= 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_signature_digest_pinned():
-    """Every stored artifact is keyed by signature digests like this one.
+    """Steady records carry signature digests taken by this function.
 
     A change to a register key, a repr or the signature layout would leave
-    every artifact store silently cold; this literal was recorded before
+    every stored record silently cold; this literal was recorded before
     the dependence keys were tabulated.
     """
     trace = [
@@ -166,70 +185,57 @@ def _artifact_files(root):
 
 
 def test_truncated_artifacts_fall_back_to_live_build(tmp_path):
-    live = _timing_run("hstencil", "LX2", None)
-    _timing_run("hstencil", "LX2", tmp_path)
+    live, _ = _steady_run(None)
+    _, cold_stats = _steady_run(tmp_path)
+    assert cold_stats.engaged >= 1
     files = _artifact_files(tmp_path)
     assert files
     for path in files:
         with open(path, "w") as fh:
             fh.write("{")  # truncated JSON
-    rebuilt = _timing_run("hstencil", "LX2", tmp_path)
-    stats = compile_stats()
+    rebuilt, stats = _steady_run(tmp_path)
     assert rebuilt == live
-    assert stats["compiled_classes"] >= 1  # everything was rebuilt live
-    assert stats["load_demotions"] == 0
-    store = active_store()
-    assert store is not None and store.stats()["invalid"] >= 1
+    # The record was a miss: detection ran live and engaged again.
+    assert not stats.record_mode and stats.detect_sigs > 0
+    assert stats.engaged >= 1 and stats.demoted == 0
+    assert active_store().stats()["invalid"] >= 1
 
 
 def test_version_skew_misses_and_rebuilds(tmp_path, monkeypatch):
-    live = _timing_run("hstencil", "LX2", None)
-    _timing_run("hstencil", "LX2", tmp_path)
+    live, _ = _steady_run(None)
+    _steady_run(tmp_path)
     # A source change flips code_version, which participates in every
     # digest: stale entries are simply never looked up again.
     monkeypatch.setattr(artifacts, "code_version", lambda: "f" * 16)
-    rebuilt = _timing_run("hstencil", "LX2", tmp_path)
-    stats = compile_stats()
-    pool = program_pool_stats()
+    rebuilt, stats = _steady_run(tmp_path)
     assert rebuilt == live
-    assert stats["loaded_classes"] == 0
-    assert stats["compiled_classes"] >= 1
-    assert pool["store_hits"] == 0 and pool["builds"] >= 1
+    assert not stats.record_mode and stats.detect_sigs > 0
+    store = active_store().stats()
+    assert store["hits"] == 0 and store["misses"] >= 1
+    assert len(_artifact_files(tmp_path)) == 2  # the stale record is left alone
 
 
-def test_tampered_template_demoted_on_load(tmp_path):
-    """The probe-on-load check catches a template whose address model lies."""
-    live = _timing_run("hstencil", "LX2", None)
-    _timing_run("hstencil", "LX2", tmp_path)
-    bundles = [
-        p for p in _artifact_files(tmp_path) if f"{os.sep}templates{os.sep}" in p
-    ]
-    assert bundles
-    store = ArtifactStore(tmp_path)
-    tampered = 0
-    for path in bundles:
-        with open(path) as fh:
-            data = json.load(fh)
-        for entry in data["data"]["classes"].values():
-            if not isinstance(entry, dict) or not entry["deltas"]:
-                continue
-            # Shift the representative key along a varying dimension: the
-            # affine model now predicts every block's addresses wrongly,
-            # while the signature digest still matches the live emit.
-            dim = entry["deltas"][0][0]
-            entry["key0"][dim] -= 1
-            tampered += 1
-        # Re-seal through the store's own writer, as a writer with a wrong
-        # model would: the checksum passes, so only the live-emit check can
-        # catch the lie (an edit behind the store's back is a checksum miss,
-        # see test_edited_artifact_is_invalid_and_rebuilt_live).
-        digest = os.path.splitext(os.path.basename(path))[0]
-        assert store.store("templates", digest, data["data"], inputs=data["inputs"])
-    assert tampered >= 1
-    rebuilt = _timing_run("hstencil", "LX2", tmp_path)
-    stats = compile_stats()
-    assert rebuilt == live  # demoted classes replay through the live path
-    assert stats["load_demotions"] >= 1
+def test_tampered_steady_record_demoted_on_load(tmp_path):
+    """The verify window catches a record whose counter delta lies."""
+    live, _ = _steady_run(None)
+    _steady_run(tmp_path)
+    (path,) = _artifact_files(tmp_path)
+    with open(path) as fh:
+        data = json.load(fh)
+    record = data["data"]
+    # Cycles and both issue counters move together, so the record still
+    # decodes; only the live verify window can tell the delta is wrong.
+    record["delta"]["core"][:3] = [v + 1 for v in record["delta"]["core"][:3]]
+    # Re-seal through the store's own writer, as a writer with a wrong
+    # record would: the checksum passes (an edit behind the store's back is
+    # a checksum miss, see test_edited_artifact_is_invalid_and_rebuilt_live).
+    digest = os.path.splitext(os.path.basename(path))[0]
+    assert ArtifactStore(tmp_path).store("steady", digest, record, inputs=data["inputs"])
+    rebuilt, stats = _steady_run(tmp_path)
+    assert rebuilt == live  # the demoted pass finishes as an exact walk
+    assert stats.record_mode
+    assert stats.demoted >= 1 and stats.disabled == "verify-mismatch"
+    assert stats.elided_bands == 0
 
 
 def _swap_first(path, old, new):
@@ -250,61 +256,21 @@ def _swap_first(path, old, new):
         fh.write(raw.replace(before, after, 1))
 
 
-def _edit_template_delta(path, data):
-    for entry in data["classes"].values():
-        if isinstance(entry, dict) and entry["deltas"]:
-            d, vals = entry["deltas"][0]
-            _swap_first(path, [d, vals], [d, vals[:-1] + [vals[-1] + 8]])
-            return
+def _edit_steady_period(path, data):
+    _swap_first(path, {"period": data["period"]}, {"period": data["period"] + data["align"]})
 
 
-def _edit_timing_latency(path, data):
-    step = data["steps"][0]
-    _swap_first(path, step, step[:3] + [step[3] + 1] + step[4:])
-
-
-def _edit_functional_load(path, data):
-    from repro.machine.compiled import F_LD
-
-    op = next(op for op in data["ops"] if op[0] == F_LD)
-    _swap_first(path, op, [F_LD, op[1], (op[2] + 1) % data["n_addrs"]])
-
-
-def _functional_run(store_dir):
-    install_artifact_store(str(store_dir) if store_dir is not None else None)
-    clear_program_pool(reset_stats=True)
-    reset_compile_stats()
-    kernel, _, mem, dst = _build("hstencil", "LX2", stencil="box2d9p", rows=64, cols=64)
-    fe = FunctionalEngine(mem)
-    fe.run_kernel(kernel, engine="compiled")
-    return dst.get_full().tolist(), fe.instructions_executed
-
-
-@pytest.mark.parametrize(
-    "kind, method, edit",
-    [
-        ("templates", "matrix-only", _edit_template_delta),
-        ("timing", "hstencil", _edit_timing_latency),
-        ("functional", "hstencil", _edit_functional_load),
-    ],
-    ids=["templates", "timing", "functional"],
-)
-def test_edited_artifact_is_invalid_and_rebuilt_live(kind, method, edit, tmp_path):
-    """One edited number in a stored artifact is a checksum miss, never a
-    silently wrong counter: the warm run equals the live build."""
-    if kind == "functional":
-        run = _functional_run
-    else:
-
-        def run(store_dir):
-            return _timing_run(method, "LX2", store_dir, stencil="box2d9p", rows=64, cols=64)
-
-    live = run(None)
-    assert run(tmp_path) == live
+@pytest.mark.parametrize("kind, edit", [("steady", _edit_steady_period)], ids=["steady"])
+def test_edited_artifact_is_invalid_and_rebuilt_live(kind, edit, tmp_path):
+    """One edited number in a stored record is a checksum miss, never a
+    silently wrong counter: the warm run equals the cold one."""
+    cold, _ = _steady_run(tmp_path)
     path = next(p for p in _artifact_files(tmp_path) if f"{os.sep}{kind}{os.sep}" in p)
     with open(path) as fh:
         edit(path, json.load(fh)["data"])
-    assert run(tmp_path) == live
+    warm, stats = _steady_run(tmp_path)
+    assert warm == cold
+    assert not stats.record_mode and stats.detect_sigs > 0
     assert active_store().stats()["invalid"] >= 1
 
 
@@ -321,29 +287,30 @@ def test_edited_measurement_is_invalid_and_resimulated(tmp_path):
     assert runner.disk_cache.stats()["invalid"] >= 1
 
 
-def test_stored_template_adopts_live_trace_off_key0(tmp_path):
-    """A class first replayed at a block other than its stored ``key0``
-    loads (no live fit), and its model rebases every block exactly."""
+def test_stored_template_adopts_live_trace_off_key0():
+    """A class first replayed at a block other than its resolved ``key0``
+    is adopted (no live fit), and its model rebases every block exactly."""
     from repro.machine.compiled import trace_addresses
 
-    _timing_run("hstencil", "LX2", tmp_path, stencil="box2d9p", rows=64, cols=64)
-    for path in _artifact_files(tmp_path):
-        if f"{os.sep}templates{os.sep}" in path:
-            with open(path) as fh:
-                entries = json.load(fh)["data"]["classes"].values()
-            assert all("trace" not in e for e in entries if isinstance(e, dict))
+    kernel, config, _, _ = _build("hstencil", "LX2", stencil="box2d9p", rows=64, cols=64)
+    nest = kernel.loop_nest()
+    blocks = {b.key: b for b in nest.blocks}
+    cls = ("M", ("L", 0))
+    first = TraceCompiler(kernel, nest=nest, config=config)
+    assert first._class_of((1, 0)) == cls
+    first.lookup(blocks[(1, 0)])
+    assert first._shared.classes[cls][0] == (1, 0)
     reset_compile_stats()
     kernel, config, _, _ = _build("hstencil", "LX2", stencil="box2d9p", rows=64, cols=64)
     nest = kernel.loop_nest()
-    compiler = TraceCompiler(kernel, nest=nest, config=config)
-    cls = ("M", ("L", 0))
-    assert compiler._class_of((4, 0)) == cls
-    assert compiler._stored_classes[repr(cls)]["key0"] == [1, 0]
     blocks = {b.key: b for b in nest.blocks}
+    compiler = TraceCompiler(kernel, nest=nest, config=config)
+    assert compiler._class_of((4, 0)) == cls
     template, addrs = compiler.lookup(blocks[(4, 0)])
     stats = compile_stats()
     assert stats["loaded_classes"] == 1 and stats["compiled_classes"] == 0
     assert stats["load_demotions"] == 0
+    assert template.key0 == (4, 0)
     assert addrs == trace_addresses(kernel.emit(blocks[(4, 0)]))
     members = [b for key, b in blocks.items() if compiler._class_of(key) == cls]
     assert len(members) >= 3
@@ -353,14 +320,13 @@ def test_stored_template_adopts_live_trace_off_key0(tmp_path):
         assert compiler.lookup(block) == (template, expected)
 
 
-def test_template_identity_pins_coefficient_table_bases(tmp_path):
-    """A kernel whose coefficient tables moved never adopts a stored template.
+def test_template_identity_pins_coefficient_table_bases():
+    """A kernel whose coefficient tables moved never adopts a resolved class.
 
-    The tables' addresses are embedded in the emitted loads, so a bundle
-    stored for one placement replays the wrong coefficients at another.
+    The tables' addresses are embedded in the emitted loads, so a class
+    resolved for one placement replays the wrong coefficients at another.
     The identity must pin them even when the grids have not moved.
     """
-    install_artifact_store(str(tmp_path))
     spec = benchmark("box2d9p")
     config = LX2()
     counted = ("compiled_classes", "loaded_classes", "load_demotions")
@@ -405,25 +371,31 @@ def test_program_pool_lru_eviction(monkeypatch):
     assert stats["evictions"] == stats["builds"] - stats["entries"]
 
 
-def test_program_pool_counters(tmp_path):
-    _timing_run("hstencil", "LX2", tmp_path)
-    cold = program_pool_stats()
+def test_program_pool_counters():
+    engine = TimingEngine(LX2(), SimMode(engine="compiled"))
+
+    def run():
+        kernel, _, _, _ = _build("hstencil", "LX2")
+        engine.run(kernel, sample=False, warm=True)
+        return program_pool_stats()
+
+    cold = run()
     assert cold["builds"] >= 1
-    assert cold["store_writes"] == cold["builds"]
     assert cold["build_seconds"] > 0.0
     assert cold["hits"] >= 0 and cold["misses"] == cold["builds"]
-    _timing_run("hstencil", "LX2", tmp_path)
-    warm = program_pool_stats()
-    assert warm["builds"] == 0
-    assert warm["store_hits"] == cold["builds"]
+    # A second kernel of the same identity on the same config adopts its
+    # classes and finds every program in the pool.
+    warm = run()
+    assert warm["builds"] == cold["builds"] and warm["misses"] == cold["misses"]
+    assert warm["hits"] - cold["hits"] >= cold["builds"]
 
 
 # -- concurrent writers ------------------------------------------------------
 
 
 def test_concurrent_cold_generation_races_cleanly(tmp_path):
-    """Two processes compiling the same classes on a cold store both
-    succeed via the atomic-write path, with exactly one entry per digest."""
+    """Two processes recording the same steady period on a cold store both
+    succeed via the atomic-write path, leaving exactly one entry."""
     import subprocess
     import sys
 
@@ -439,18 +411,21 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         "from repro.machine.timing import SimMode, TimingEngine\n"
         "from repro.stencils.grid import Grid2D\n"
         "from repro.stencils.library import benchmark\n"
-        "spec = benchmark('star2d9p'); config = LX2(); mem = MemorySpace()\n"
-        "src = Grid2D(mem, 33, 48, spec.radius, 'A', fill='random', seed=7)\n"
-        "dst = Grid2D(mem, 33, 48, spec.radius, 'B')\n"
+        "spec = benchmark(sys.argv[3]); config = LX2(); mem = MemorySpace()\n"
+        "rows, cols = int(sys.argv[4]), int(sys.argv[5])\n"
+        "src = Grid2D(mem, rows, cols, spec.radius, 'A', fill='random', seed=7)\n"
+        "dst = Grid2D(mem, rows, cols, spec.radius, 'B')\n"
         "kernel = make_kernel('hstencil', spec, src, dst, config, KernelOptions(unroll_j=2))\n"
-        "pc = TimingEngine(config, SimMode(engine='compiled')).run(kernel, sample=False, warm=True)\n"
-        "print(json.dumps(pc.to_dict(), sort_keys=True))\n"
+        "engine = TimingEngine(config, SimMode(engine='compiled'))\n"
+        "pc = engine.run(kernel, sample=False, warm=False)\n"
+        "print(json.dumps([pc.to_dict(), engine.steady_stats.to_dict()], sort_keys=True))\n"
     )
     src_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = {k: v for k, v in os.environ.items() if k != "REPRO_ARTIFACTS"}
+    cell = [ENGAGE["stencil"], str(ENGAGE["rows"]), str(ENGAGE["cols"])]
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", script, src_dir, str(store)],
+            [sys.executable, "-c", script, src_dir, str(store), *cell],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
@@ -460,20 +435,16 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
     outs = [p.communicate(timeout=600) for p in procs]
     for proc, (out, err) in zip(procs, outs):
         assert proc.returncode == 0, err.decode()
-    # Both raced processes measured bit-identical counters.
-    assert outs[0][0] == outs[1][0]
-    # Each kind holds exactly one entry per digest (atomic replace,
-    # content-addressed paths), every entry parses, and no temp files leak.
-    kinds = sorted(os.listdir(store))
-    assert "templates" in kinds and "timing" in kinds
-    for kind in kinds:
-        files = _artifact_files(store / kind)
-        assert files, kind
-        digests = [os.path.splitext(os.path.basename(p))[0] for p in files]
-        assert len(digests) == len(set(digests))
-        for path in files:
-            with open(path) as fh:
-                json.load(fh)
+    (counters_a, stats_a), (counters_b, stats_b) = (json.loads(out) for out, _ in outs)
+    # Both raced processes measured bit-identical counters and elided alike.
+    assert counters_a == counters_b
+    assert stats_a["engaged"] >= 1 and stats_a["elided_bands"] == stats_b["elided_bands"]
+    # One entry (atomic replace, content-addressed path) that parses, and
+    # no temp files leak.
+    assert sorted(os.listdir(store)) == ["steady"]
+    (path,) = _artifact_files(store)
+    with open(path) as fh:
+        json.load(fh)
     leftovers = [
         os.path.join(d, f)
         for d, _dirs, fs in os.walk(store)
@@ -481,23 +452,25 @@ def test_concurrent_cold_generation_races_cleanly(tmp_path):
         if not f.endswith(".json")
     ]
     assert leftovers == []
-    # A warm process after the race loads everything: nothing built live.
-    warm = _timing_run("hstencil", "LX2", store, rows=33, cols=48)
-    stats = compile_stats()
-    pool = program_pool_stats()
-    assert warm == json.loads(outs[0][0])
-    assert stats["compiled_classes"] == 0 and stats["loaded_classes"] >= 1
-    assert pool["builds"] == 0 and pool["store_hits"] >= 1
+    # A warm process after the race serves the record: no detection.
+    warm, stats = _steady_run(store)
+    assert warm == counters_a
+    assert stats.record_mode and stats.detect_sigs == 0
+    assert stats.engaged >= 1 and stats.demoted == 0
 
 
 # -- store maintenance -------------------------------------------------------
 
 
 def test_store_prune_by_age_and_size(tmp_path):
-    _timing_run("hstencil", "LX2", tmp_path)
+    _steady_run(tmp_path)
     store = ArtifactStore(tmp_path)
+    assert store.store("scratch", "cd" * 32, {"note": "hand-written"})
+    assert store.store("scratch", "ef" * 32, {"note": "hand-written"})
     scan = store.disk_stats()
-    assert scan["entries"] >= 2 and scan["bytes"] > 0
+    assert scan["entries"] == 3 and scan["bytes"] > 0
+    assert scan["kinds"]["steady"]["entries"] == 1
+    assert scan["kinds"]["scratch"]["entries"] == 2
     # Per-kind breakdown covers every entry and sums to the aggregate.
     assert sum(k["entries"] for k in scan["kinds"].values()) == scan["entries"]
     assert sum(k["bytes"] for k in scan["kinds"].values()) == scan["bytes"]
@@ -517,88 +490,127 @@ def test_store_prune_by_age_and_size(tmp_path):
     assert store.disk_stats()["entries"] == 0
 
 
+def test_store_creates_its_root(tmp_path):
+    """Callers may place files in the root before any record is stored."""
+    from repro.bench.runner import ExperimentRunner
+
+    root = tmp_path / "new"
+    ExperimentRunner(LX2(), artifact_dir=root).precompile_cell("hstencil", "star2d9p", (64, 64))
+    assert root.is_dir()
+    assert active_store().stats()["store_errors"] == 0
+
+
+def test_store_root_under_a_file_is_a_store_error(tmp_path):
+    (tmp_path / "f").write_text("not a directory\n")
+    store = ArtifactStore(tmp_path / "f" / "store")
+    assert store.stats()["store_errors"] == 1
+    assert not store.store("steady", "ab" * 32, {"period": 8})
+    assert store.stats()["store_errors"] == 2
+    assert store.load("steady", "ab" * 32) is None
+
+
 # -- precompile --------------------------------------------------------------
 
 
-def test_precompile_then_warm_sweep(tmp_path):
+def test_precompile_then_warm_sweep():
+    """After an in-process warm-up, a measure of the cell fits nothing."""
     from repro.bench.runner import ExperimentRunner
 
-    runner = ExperimentRunner(LX2(), artifact_dir=str(tmp_path))
+    runner = ExperimentRunner(LX2())
     info = runner.precompile_cell("hstencil", "star2d9p", (32, 32))
     assert info["classes"] >= 1
     assert info["compiled"] >= 1 and info["loaded"] == 0
-    # A fresh process (fresh pools, same store) measures without compiling.
-    clear_program_pool(reset_stats=True)
-    reset_compile_stats()
-    warm_runner = ExperimentRunner(LX2(), artifact_dir=str(tmp_path))
-    warm_runner.measure("hstencil", "star2d9p", (32, 32))
-    stats = compile_stats()
-    assert stats["compiled_classes"] == 0
-    assert stats["loaded_classes"] >= info["compiled"]
-    surfaced = warm_runner.artifact_stats()
-    assert surfaced["store"] is not None and surfaced["store"]["hits"] >= 1
-    assert surfaced["program_pool"]["store_hits"] >= 1
+    before = compile_stats()
+    runner.measure("hstencil", "star2d9p", (32, 32))
+    after = compile_stats()
+    assert after["compiled_classes"] == before["compiled_classes"]
+    assert after["probe_emits"] == before["probe_emits"]
+    assert after["loaded_classes"] - before["loaded_classes"] >= info["compiled"]
+    assert after["load_demotions"] == before["load_demotions"]
 
 
-def test_precompile_results_not_adopted_as_measurements(tmp_path):
-    from repro.bench.runner import ExperimentRunner
+def test_precompile_results_not_adopted_as_measurements():
+    """A service warm-up job returns build summaries, never counters, and a
+    later measure of the same cell is simulated, not served from its memo."""
+    from repro.service import StencilService
 
-    runner = ExperimentRunner(LX2(), artifact_dir=str(tmp_path))
-    results = runner.precompile([("hstencil", "star2d9p", (32, 32))])
-    assert len(results) == 1 and results[0].ok
-    assert results[0].source == "precompiled"
-    assert results[0].counters is None
-    assert results[0].info["classes"] >= 1
+    cell = ("hstencil", "star2d9p", (32, 32))
+
+    async def main():
+        async with StencilService(workers=1) as service:
+            job = await service.submit([cell], machine="lx2", action="precompile")
+            warmed = await job.results()
+            job = await service.submit([cell], machine="lx2")
+            return warmed, await job.results()
+
+    (warmed,), (measured,) = asyncio.run(main())
+    assert warmed.ok and warmed.source == "precompiled"
+    assert warmed.counters is None
+    assert warmed.info["classes"] >= 1
+    assert measured.ok and measured.source == "simulated"
+    assert measured.counters is not None
 
 
 # -- CLI ---------------------------------------------------------------------
 
 
+def _legacy_entries(kernel, config):
+    """``(kind, digest)`` where earlier versions kept compiled artifacts.
+
+    ``templates`` sat at the kernel's bundle digest; ``timing`` and
+    ``functional`` at digests of one class's signature.
+    """
+    compiler = TraceCompiler(kernel, config=config)
+    template, _ = compiler.lookup(next(iter(kernel.loop_nest().blocks)))
+    meta = artifacts.artifact_meta()
+    sig = artifacts.signature_digest(template.signature)
+    machine = artifacts.machine_digest(config)
+    return [
+        ("templates", artifacts.artifact_digest(compiler._bundle_inputs)),
+        ("timing", artifacts.artifact_digest(
+            {"kind": "timing", "meta": meta, "machine": machine, "signature": sig})),
+        ("functional", artifacts.artifact_digest(
+            {"kind": "functional", "meta": meta, "signature": sig})),
+        ("codegen", "ab" * 32),
+    ]
+
+
 def test_cli_precompile_and_cache(tmp_path, capsys):
-    store_dir = str(tmp_path / "artifacts")
-    rc = main(
-        [
-            "precompile",
-            "--artifact-dir",
-            store_dir,
-            "--machines",
-            "lx2",
-            "--methods",
-            "hstencil",
-            "--stencils",
-            "star2d5p",
-            "--size",
-            "24x24",
-            "--stats",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "1 cells precompiled" in out
-    assert '"program_pool"' in out and '"disk"' in out
-    scan = ArtifactStore(store_dir).disk_stats()
-    assert scan["entries"] >= 2
-    assert "codegen" not in scan["kinds"]
+    """Stores written by earlier versions hold compiled kinds.  Neither a
+    warm-up nor a timing run reads them; ``cache stats`` lists them and
+    ``cache prune`` removes them."""
+    from repro.bench.runner import ExperimentRunner
 
-    # Stores written while the simulator still generated replay kernels
-    # hold entries of kind "codegen"; maintenance must keep handling them.
-    legacy = {"source": "def __kernel(pipe, addrs):\n    pass\n", "version": 2}
-    assert ArtifactStore(store_dir).store("codegen", "ab" * 32, legacy)
+    store_dir = tmp_path / "artifacts"
+    live = _timing_run("hstencil", "LX2", None)
+    kernel, config, _, _ = _build("hstencil", "LX2")
+    writer = ArtifactStore(store_dir)
+    legacy = _legacy_entries(kernel, config)
+    for kind, digest in legacy:
+        assert writer.store(kind, digest, {"classes": {}, "edge": 1, "steps": []})
 
-    rc = main(["cache", "stats", "--artifact-dir", store_dir])
+    clear_program_pool(reset_stats=True)
+    reset_compile_stats()
+    runner = ExperimentRunner(LX2(), artifact_dir=store_dir)
+    info = runner.precompile_cell("hstencil", "star2d9p", (32, 32))
+    assert info["compiled"] >= 1 and info["loaded"] == 0
+    assert _timing_run("hstencil", "LX2", store_dir) == live
+    assert active_store().stats()["hits"] == 0
+
+    rc = main(["cache", "stats", "--artifact-dir", str(store_dir)])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert payload["artifacts"]["entries"] == scan["entries"] + 1
-    # Per-kind reporting lists the legacy kind beside the live ones.
     kinds = payload["artifacts"]["kinds"]
-    assert kinds["codegen"]["entries"] == 1 and kinds["codegen"]["bytes"] > 0
-    assert "timing" in kinds and "templates" in kinds
+    assert payload["artifacts"]["entries"] == len(legacy)
+    for kind, _digest in legacy:
+        assert kinds[kind]["entries"] == 1 and kinds[kind]["bytes"] > 0
 
-    rc = main(["cache", "prune", "--artifact-dir", store_dir, "--max-bytes", "0"])
+    rc = main(["cache", "prune", "--artifact-dir", str(store_dir), "--max-bytes", "0"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["artifacts"]["kept"] == 0
-    assert payload["artifacts"]["kinds"]["codegen"]["removed"] == 1
+    for kind, _digest in legacy:
+        assert payload["artifacts"]["kinds"][kind]["removed"] == 1
     assert ArtifactStore(store_dir).disk_stats()["entries"] == 0
 
 
@@ -606,11 +618,6 @@ def test_cli_cache_requires_a_directory(monkeypatch):
     monkeypatch.delenv("REPRO_BENCH_CACHE", raising=False)
     with pytest.raises(SystemExit):
         main(["cache", "stats"])
-
-
-def test_cli_precompile_requires_store(monkeypatch):
-    with pytest.raises(SystemExit):
-        main(["precompile", "--machines", "lx2"])
 
 
 # -- environment activation ---------------------------------------------------

@@ -333,57 +333,51 @@ def test_shutdown_fails_queued_tasks():
 
 
 def test_two_workers_generate_same_classes_on_cold_store(tmp_path):
-    """Two workers racing to compile the same shape classes on a cold
+    """Two workers racing to record the same steady period on a cold
     artifact store both succeed via the atomic-write path, leaving exactly
-    one stored entry per digest and a store a fresh process warms from."""
+    one stored entry that a fresh process serves without detection."""
     import json
 
-    from repro.kernels.template import compile_stats, reset_compile_stats
+    from repro.kernels.template import reset_compile_stats
     from repro.machine.artifacts import install_artifact_store
-    from repro.machine.compiled import clear_program_pool, program_pool_stats
+    from repro.machine.compiled import clear_program_pool
 
     store = tmp_path / "artifacts"
-    # Same method/stencil, different shapes: the cells never coalesce, so
-    # both workers run concurrently — and their kernels share interior
-    # shape classes, so both try to persist the same template digests.
-    cells = [("hstencil", "star2d9p", (33, 48)), ("hstencil", "star2d9p", (35, 48))]
+    # The LX2 cell on which hstencil engages steady elision.  Submitted
+    # cold and warm, it never coalesces (the keys differ), so both workers
+    # run at once; both runs have the same steady_record_key.
+    cell = ("hstencil", "box2d25p", (515, 512))
 
     async def main():
-        async with StencilService(workers=2, artifact_dir=str(store)) as service:
-            job = await service.submit(cells, lane="batch")
-            return await job.results()
+        async with StencilService(workers=2, sample=False, artifact_dir=str(store)) as service:
+            cold = await service.submit([cell], lane="batch", warm=False)
+            warm = await service.submit([cell], lane="batch", warm=True)
+            return await cold.results(), await warm.results()
 
-    results = drive(main())
-    assert all(r.ok for r in results)
+    (cold,), (warm,) = drive(main())
+    assert cold.ok and warm.ok
 
     files = []
     for dirpath, _dirs, names in os.walk(store):
         files.extend(os.path.join(dirpath, n) for n in names)
-    json_files = [p for p in files if p.endswith(".json")]
-    assert json_files, "workers persisted no artifacts"
-    # Atomic replace: every entry parses, and no temp files leak.
-    assert [p for p in files if not p.endswith(".json")] == []
-    entries = [
-        (os.path.relpath(os.path.dirname(p), store).split(os.sep)[0],
-         os.path.splitext(os.path.basename(p))[0])
-        for p in json_files
-    ]
-    assert len(entries) == len(set(entries))
-    for path in json_files:
-        with open(path) as fh:
-            json.load(fh)
+    # Atomic replace: one entry that parses, and no temp files leak.
+    assert sorted(os.listdir(store)) == ["steady"]
+    assert len(files) == 1 and files[0].endswith(".json")
+    with open(files[0]) as fh:
+        json.load(fh)
 
-    # A fresh process (fresh pools, same store) loads instead of compiling.
+    # A fresh process (fresh pools, same store) serves the record for
+    # either flavour of the cell, with the counters the workers measured.
     try:
-        clear_program_pool(reset_stats=True)
-        reset_compile_stats()
-        warm = ExperimentRunner(LX2(), artifact_dir=str(store))
-        warm.measure(*cells[0])
-        stats = compile_stats()
-        assert stats["compiled_classes"] == 0
-        assert stats["loaded_classes"] >= 1
-        assert stats["load_demotions"] == 0
-        assert program_pool_stats()["builds"] == 0
+        for flavour, raced in (("cold", cold), ("warm", warm)):
+            clear_program_pool(reset_stats=True)
+            reset_compile_stats()
+            runner = ExperimentRunner(LX2(), sample=False, artifact_dir=str(store))
+            measured = runner.measure(*cell, warm=flavour == "warm")
+            stats = runner.engine.steady_stats
+            assert measured.counters.to_dict() == raced.counters.to_dict(), flavour
+            assert stats.record_mode and stats.detect_sigs == 0, flavour
+            assert stats.engaged >= 1 and stats.demoted == 0, flavour
     finally:
         install_artifact_store(None)
         clear_program_pool(reset_stats=True)

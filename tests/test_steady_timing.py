@@ -9,7 +9,7 @@ machine and odd/tail-predicated grid shape — and any verification mismatch
 demotes permanently back to the exact walk.  These tests enforce that
 contract across the method registry, force the demotion path, check that
 a verified window jumps at its own boundary, round-trip detected periods
-through the compiled-artifact store (warm runs skip detection entirely),
+through the artifact store (warm runs skip detection entirely),
 and check that detection refuses without signatures where no recurrence
 could have room to engage.
 """
