@@ -19,7 +19,7 @@ Two workloads, one artifact (``benchmarks/results/BENCH_simspeed.json``):
 * **Figure 15-style out-of-cache workload**: band-sampled large grids
   (``iters = 1``; sampling and repeated iters are mutually exclusive)
   through the reference engine and the compiled engine's columnar
-  address-stream replay with the chunked scoreboard memo.
+  address-stream replay with the whole-block scoreboard memo.
 
 Every cell of every workload is checked for the bit-identity contract —
 identical :class:`PerfCounters` from all configurations — so no speedup is
@@ -61,7 +61,7 @@ SPEEDUP_TARGET_VS_REFERENCE = 20.0
 #: band-sampled workload (the floor leaves CI noise room below the
 #: measured ratio).  Out of cache the pass jump cannot fire (the cache
 #: state never recurs), so this is compile-once + address-stream replay
-#: plus the block/chunk scoreboard memo over relative contexts.  The
+#: plus the whole-block scoreboard memo over relative contexts.  The
 #: combined cell includes the ``auto`` kernel, whose large blocks make the
 #: compile-once probe emissions a third of the columnar wall-clock at this
 #: grid size — the amortized regime is asserted separately by the

@@ -266,9 +266,12 @@ class RowTemplate:
         return self._timing  # type: ignore[return-value]
 
     def functional_program(self) -> Optional[FunctionalProgram]:
-        """Lazily built semantic program (``None`` -> reference walk)."""
+        """Lazily built semantic program (``None`` -> reference walk).
+
+        Pooled by signature, so equal-signature templates share one program.
+        """
         if self._functional is _UNBUILT:
-            self._functional = pooled_functional_program(self.trace)
+            self._functional = pooled_functional_program(self.trace, self.signature)
         return self._functional  # type: ignore[return-value]
 
 

@@ -26,10 +26,12 @@ reorganizes stencil loops — hoist the regular part out and batch it:
 * **Scoreboard memoization.**  The scoreboard recurrence is a pure,
   translation-invariant function of its relative entry context (live-in
   slot offsets past the frontier, port-pipe offsets/rank order, issue-slot
-  state) and the level vector.  In the steady state of a band the same
+  state) and the level vector.  Each program keeps one table keyed by a
+  block's context and level vector.  In the steady state of a band the same
   context recurs block after block, so phase two collapses to a dictionary
   hit that applies the recorded relative outputs — the same exact-key
-  discipline as the pass-boundary jump, needing no verification.
+  discipline as the pass-boundary jump, needing no verification; a miss
+  walks the whole program once and records it.
 
 * **Probe-verify / demote.**  Although both phases are constructed to be
   bit-identical to the scalar template walk, the replay still follows the
@@ -93,13 +95,6 @@ REPROBE_INTERVAL = 256
 #: then costs more than the bulk copy saves.  Both are equally strict.
 NARROW_MAX_FRACTION = 0.5
 
-#: Scoreboard-recurrence memoization granularity, in program steps.  Out of
-#: cache the *global* per-block miss pattern rarely recurs (different lines
-#: straddle sets and pages differently block to block), but locally most
-#: chunks are all-L1 with a steady relative pipeline rhythm — memoizing per
-#: chunk lets those hit even when the blocks' full level vectors differ.
-SB_CHUNK = 48
-
 
 def _pipes_key(vals: List[int], f0: int) -> Tuple[int, ...]:
     """Port-pipe context: exact offsets past the frontier, rank order below.
@@ -139,12 +134,10 @@ class _MemPlan:
     flattened range belongs to which load/store step (levels aggregate per
     step) and each prefetch's length/write flag.
 
-    ``chunks`` partitions the program's steps for the scoreboard phase.
-    Each chunk record carries everything the memo key and the walk need:
-    ``(steps, live_in, write_out, port_ids, lev_lo, lev_hi)`` where
-    ``live_in`` lists slots read before written inside the chunk (the only
-    entry values that can influence it) and ``port_ids`` the port classes
-    it issues to.
+    ``live_in`` and ``write_union`` frame the scoreboard phase: the slots
+    read before written anywhere in the program (the only entry values
+    the walk can observe, and so the only ones its memo key holds) and
+    the slots written anywhere (the only ones a memo entry records).
     """
 
     __slots__ = (
@@ -152,8 +145,6 @@ class _MemPlan:
         "m_off",
         "m_nw",
         "ops",
-        "n_loads",
-        "chunks",
         "live_in",
         "write_union",
     )
@@ -163,7 +154,6 @@ class _MemPlan:
         m_off: List[int] = []
         m_nw: List[int] = []
         ops: List[Tuple] = []
-        n_loads = 0
         for _dep, _wr, _port, _lat, _ii, kind, memops in program.steps:
             if not kind:
                 continue
@@ -182,60 +172,24 @@ class _MemPlan:
                 # Uniform 4-tuples so the memory phase unpacks every op in
                 # one UNPACK_SEQUENCE (the trailing 0 pads load/store ops).
                 ops.append((kind, lo, len(m_ai), 0))
-                if kind == K_LOAD:
-                    n_loads += 1
         self.m_ai = np.asarray(m_ai, dtype=np.int64)
         self.m_off = np.asarray(m_off, dtype=np.int64)
         self.m_nw = np.asarray(m_nw, dtype=np.int64)
         self.ops = tuple(ops)
-        self.n_loads = n_loads
 
-        # Block-level scoreboard frame: slots read before written anywhere
-        # in the program (the only entry values the whole-block walk can
-        # observe) and slots written anywhere (the only ones it can change).
-        written_all: set = set()
-        live_all: set = set()
+        written: set = set()
+        live: set = set()
         for dep_slots, write_slots, _port, _lat, _ii, _kind, _memops in program.steps:
             for s in dep_slots:
-                if s not in written_all:
-                    live_all.add(s)
-            written_all.update(write_slots)
-        self.live_in = tuple(sorted(live_all))
-        self.write_union = tuple(sorted(written_all))
-
-        chunks: List[Tuple] = []
-        steps = program.steps
-        lev_lo = 0
-        for lo in range(0, len(steps), SB_CHUNK):
-            chunk_steps = steps[lo : lo + SB_CHUNK]
-            written: set = set()
-            live: set = set()
-            port_ids: set = set()
-            lev_hi = lev_lo
-            for dep_slots, write_slots, port_id, _lat, _ii, kind, _memops in chunk_steps:
-                for s in dep_slots:
-                    if s not in written:
-                        live.add(s)
-                written.update(write_slots)
-                port_ids.add(port_id)
-                if kind == K_LOAD:
-                    lev_hi += 1
-            chunks.append(
-                (
-                    chunk_steps,
-                    tuple(sorted(live)),
-                    tuple(sorted(written)),
-                    tuple(sorted(port_ids)),
-                    lev_lo,
-                    lev_hi,
-                )
-            )
-            lev_lo = lev_hi
-        self.chunks = tuple(chunks)
+                if s not in written:
+                    live.add(s)
+            written.update(write_slots)
+        self.live_in = tuple(sorted(live))
+        self.write_union = tuple(sorted(written))
 
 
 class ColumnarShare:
-    """Cross-run columnar state: memory plans and scoreboard memo tables.
+    """Cross-run columnar state: memory plans and one scoreboard memo per program.
 
     Everything here is keyed on :class:`TimingProgram` identity, and
     programs are pooled per ``(config, structural signature)``
@@ -247,23 +201,18 @@ class ColumnarShare:
     Replayers constructed without an explicit share get a private one.
     """
 
-    __slots__ = ("plans", "pmemo", "bmemo")
+    __slots__ = ("plans", "memo")
 
     def __init__(self) -> None:
         #: program -> flattened memory plan.
         self.plans: Dict[TimingProgram, _MemPlan] = {}
-        #: program -> per-chunk {relative scoreboard context -> outputs}.
-        self.pmemo: Dict[TimingProgram, List[Dict[Tuple, Tuple]]] = {}
-        #: program -> whole-block {relative scoreboard context -> outputs};
-        #: tried before the chunk tables, hit when an entire block's entry
-        #: context recurs (the common case once a band reaches steady state).
-        self.bmemo: Dict[TimingProgram, Dict[Tuple, Tuple]] = {}
+        #: program -> {relative block entry context -> relative outputs}.
+        self.memo: Dict[TimingProgram, Dict[Tuple, Tuple]] = {}
 
     def drop(self, program: TimingProgram) -> None:
         """Forget everything recorded for ``program`` (demotion path)."""
         self.plans.pop(program, None)
-        self.pmemo.pop(program, None)
-        self.bmemo.pop(program, None)
+        self.memo.pop(program, None)
 
 
 class _ClassState:
@@ -303,8 +252,7 @@ class ColumnarReplayer:
         self.compiler = compiler or TraceCompiler(kernel, nest=nest, config=config)
         self.share = share if share is not None else ColumnarShare()
         self._plans = self.share.plans
-        self._pmemo = self.share.pmemo
-        self._bmemo = self.share.bmemo
+        self._memo = self.share.memo
         self._classes: Dict[RowTemplate, _ClassState] = {}
         self._band_no = 0
         self._line_words = config.l1.line_bytes // 8
@@ -1022,158 +970,70 @@ class ColumnarReplayer:
         pipe: PipelineModel,
         slots: List[int],
     ) -> None:
-        """Advance the scoreboard through the program, memoized at two grains.
+        """Advance the scoreboard through the program, memoized per block.
 
         The max-plus issue recurrence is translation-invariant: shifting
         every entry value (frontier, live slots, busy pipes, cycle) by a
-        constant shifts every output by the same constant.  A context is
+        constant shifts every output by the same constant.  A block is
         keyed on its *complete* relative entry state — live-in slot offsets
         clamped at the frontier (values at or below it can never raise an
         issue cycle), pipe offsets with rank-order for stale pipes (rank
         decides the least-loaded choice), the cycle lag and issue count, and
-        the slice of the level vector that sets the load penalties — so a
-        hit is exact by construction and needs no verification.
-
-        The *whole-block* table is tried first: in a band's steady state the
-        entire entry context recurs block after block and one hit replaces
-        the chunk loop outright.  Blocks whose global context is novel
-        (boundary lines, set-conflict beats) fall back to the per-chunk
-        tables, which still hit on the locally-steady stretches, and the
-        chunk walk's outcome is recorded at block grain on the way out.
+        the level vector that sets the load penalties — so a hit is exact by
+        construction and needs no verification.  In a band's steady state
+        the entire entry context recurs block after block; a miss walks the
+        whole program once and records the outcome.
         """
         port_free = pipe._port_free
         pipes_by_id = [port_free[p] for p in program.ports]
-
-        makespan = pipe.makespan
         cycle = pipe._cycle
         issued = pipe._issued_this_cycle
-        frontier = pipe._frontier
+        f0 = pipe._frontier
 
-        # -- whole-block fast path ----------------------------------------
-        bf0 = frontier
-        bsb = tuple([(v - bf0) if (v := slots[s]) > bf0 else 0 for s in plan.live_in])
-        bsig = []
+        sb = tuple([(v - f0) if (v := slots[s]) > f0 else 0 for s in plan.live_in])
+        # Inline the 1- and 2-pipe encodings of _pipes_key (fresh pipes by
+        # offset, stale pipes by rank); the generic helper only runs for
+        # wider port classes.
+        sig = []
         for pipes in pipes_by_id:
             if len(pipes) == 1:
                 p = pipes[0]
-                bsig.append((p - bf0) if p > bf0 else -1)
+                sig.append((p - f0) if p > f0 else -1)
             elif len(pipes) == 2:
                 p0, p1 = pipes
-                if p0 > bf0:
-                    bsig.append((p0 - bf0, p1 - bf0) if p1 > bf0 else (p0 - bf0, -2))
-                elif p1 > bf0:
-                    bsig.append((-2, p1 - bf0))
+                if p0 > f0:
+                    sig.append((p0 - f0, p1 - f0) if p1 > f0 else (p0 - f0, -2))
+                elif p1 > f0:
+                    sig.append((-2, p1 - f0))
                 elif p0 == p1:
-                    bsig.append((-2, -2))
+                    sig.append((-2, -2))
                 else:
-                    bsig.append((-2, -1) if p0 < p1 else (-1, -2))
+                    sig.append((-2, -1) if p0 < p1 else (-1, -2))
             else:
-                bsig.append(_pipes_key(pipes, bf0))
-        btable = self._bmemo.get(program)
-        if btable is None:
-            btable = self._bmemo[program] = {}
-        bkey = (bsb, tuple(bsig), bf0 - cycle, issued, levels)
-        bentry = btable.get(bkey)
-        if bentry is not None:
-            slots_out, pipes_out, frontier_rel, cycle_lag, issued, done_rel = bentry
-            for s, rel in slots_out:
-                slots[s] = bf0 + rel
-            for pid, jj, rel in pipes_out:
-                pipes_by_id[pid][jj] = bf0 + rel
-            frontier = bf0 + frontier_rel
-            cycle = frontier - cycle_lag
-            done = bf0 + done_rel
-            if done > makespan:
-                makespan = done
-            pipe._frontier = frontier
-            pipe._cycle = cycle
-            pipe._issued_this_cycle = issued
-            pipe.makespan = makespan
-            pipe.instructions_retired += program.count
-            by_port = pipe.instructions_by_port
-            for port, count in program.port_counts.items():
-                by_port[port] += count
-            pipe.flops += program.flops
-            pipe.useful_flops += program.useful_flops
-            pipe.sw_prefetches += program.n_prfm
-            return
+                sig.append(_pipes_key(pipes, f0))
+        table = self._memo.get(program)
+        if table is None:
+            table = self._memo[program] = {}
+        key = (sb, tuple(sig), f0 - cycle, issued, levels)
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = self._scoreboard_walk(
+                program.steps, plan.write_union, levels, f0, cycle, issued,
+                slots, pipes_by_id, pipe.config.issue_width,
+            )
 
-        # -- chunk loop (block miss) --------------------------------------
-        tables = self._pmemo.get(program)
-        if tables is None:
-            tables = [{} for _ in plan.chunks]
-            self._pmemo[program] = tables
-        assigned_all: set = set()
-        block_done = 0
-        issue_width = pipe.config.issue_width
-        for chunk, table in zip(plan.chunks, tables):
-            steps, live_in, write_out, port_ids, lev_lo, lev_hi = chunk
-            f0 = frontier
-            sb = tuple([(v - f0) if (v := slots[s]) > f0 else 0 for s in live_in])
-            # Inline the 1- and 2-pipe encodings of _pipes_key (fresh
-            # pipes by offset, stale pipes by rank); the generic helper only
-            # runs for wider port classes.
-            sig = []
-            for pid in port_ids:
-                pipes = pipes_by_id[pid]
-                if len(pipes) == 1:
-                    p = pipes[0]
-                    sig.append((p - f0) if p > f0 else -1)
-                elif len(pipes) == 2:
-                    p0, p1 = pipes
-                    if p0 > f0:
-                        sig.append((p0 - f0, p1 - f0) if p1 > f0 else (p0 - f0, -2))
-                    elif p1 > f0:
-                        sig.append((-2, p1 - f0))
-                    elif p0 == p1:
-                        sig.append((-2, -2))
-                    else:
-                        sig.append((-2, -1) if p0 < p1 else (-1, -2))
-                else:
-                    sig.append(_pipes_key(pipes, f0))
-            key = (sb, tuple(sig), f0 - cycle, issued, levels[lev_lo:lev_hi])
-
-            entry = table.get(key)
-            if entry is None:
-                entry = self._scoreboard_walk(
-                    steps, write_out, levels, lev_lo, f0, cycle, issued,
-                    slots, pipes_by_id, issue_width,
-                )
-                table[key] = entry
-            slots_out, pipes_out, frontier_rel, cycle_lag, issued, done_rel = entry
-            for s, rel in slots_out:
-                slots[s] = f0 + rel
-            for pid, jj, rel in pipes_out:
-                pipes_by_id[pid][jj] = f0 + rel
-                assigned_all.add((pid, jj))
-            frontier = f0 + frontier_rel
-            cycle = frontier - cycle_lag
-            done = f0 + done_rel
-            if done > block_done:
-                block_done = done
-            if done > makespan:
-                makespan = done
-
-        # Record the block outcome for the fast path.  Only pipes some
-        # chunk assigned are recorded — unassigned pipes keep their
-        # (possibly sub-frontier) absolute values, exactly as the scalar
-        # walk leaves them, and the key pins their entry encoding.
-        btable[bkey] = (
-            tuple((s, slots[s] - bf0) for s in plan.write_union),
-            tuple(
-                (pid, jj, pipes_by_id[pid][jj] - bf0)
-                for pid, jj in sorted(assigned_all)
-            ),
-            frontier - bf0,
-            frontier - cycle,
-            issued,
-            block_done - bf0,
-        )
-
+        slots_out, pipes_out, frontier_rel, cycle_lag, issued, done_rel = entry
+        for s, rel in slots_out:
+            slots[s] = f0 + rel
+        for pid, jj, rel in pipes_out:
+            pipes_by_id[pid][jj] = f0 + rel
+        frontier = f0 + frontier_rel
         pipe._frontier = frontier
-        pipe._cycle = cycle
+        pipe._cycle = frontier - cycle_lag
         pipe._issued_this_cycle = issued
-        pipe.makespan = makespan
+        done = f0 + done_rel
+        if done > pipe.makespan:
+            pipe.makespan = done
         pipe.instructions_retired += program.count
         by_port = pipe.instructions_by_port
         for port, count in program.port_counts.items():
@@ -1187,7 +1047,6 @@ class ColumnarReplayer:
         steps: Tuple,
         write_out: Tuple[int, ...],
         levels: bytes,
-        li: int,
         f0: int,
         cycle: int,
         issued: int,
@@ -1195,14 +1054,16 @@ class ColumnarReplayer:
         pipes_by_id: List[List[int]],
         issue_width: int,
     ) -> Tuple:
-        """Scoreboard-only chunk walk (memo miss); returns the memo entry.
+        """Scoreboard-only program walk (memo miss); returns the memo entry.
 
-        State is *not* written back here — the caller applies the returned
-        entry, so hit and miss share one code path.
+        Only ``slots`` and ``pipes_by_id`` advance here; the frontier,
+        cycle and counters are left to the caller, which applies the
+        returned entry, so hit and miss share one code path.
         """
         penalty = self._penalty
         frontier = f0
         max_done = 0
+        li = 0
         pipes_assigned: set = set()
 
         for dep_slots, write_slots, port_id, base_latency, ii, kind, _memops in steps:

@@ -375,6 +375,13 @@ class ProgramPool:
     capacity bounds that retention (oldest entries — configs included — are
     evicted LRU-first instead of living for the process lifetime).
 
+    Functional programs are pooled the same way, keyed by signature alone:
+    every op of a :class:`FunctionalProgram` derives from the instructions'
+    non-address fields and no config enters it, so all templates with one
+    signature share one program (LRU under the same capacity).
+    ``functional_builds`` therefore counts distinct signatures, while
+    ``hits``/``misses`` stay the timing programs' own.
+
     The pool also holds the resolved shape classes of every kernel identity
     (:class:`ClassBundle`, LRU under the same capacity) and the interned
     signatures their entries reference, so :func:`clear_program_pool`
@@ -386,6 +393,7 @@ class ProgramPool:
         self._entries: "OrderedDict[Tuple, Tuple[MachineConfig, Optional[TimingProgram]]]" = (
             OrderedDict()
         )
+        self._functional: "OrderedDict[Tuple, Optional[FunctionalProgram]]" = OrderedDict()
         self._bundles: "OrderedDict[Tuple, ClassBundle]" = OrderedDict()
         self._signatures: Dict[Tuple, Tuple] = {}
         self.hits = 0
@@ -415,6 +423,23 @@ class ProgramPool:
             self.evictions += 1
         return program
 
+    def functional(
+        self, trace: Sequence[Instruction], signature: Tuple
+    ) -> Optional["FunctionalProgram"]:
+        """The shared functional program of ``signature`` (built on a miss)."""
+        entries = self._functional
+        if signature in entries:
+            entries.move_to_end(signature)
+            return entries[signature]
+        start = perf_counter()
+        program = build_functional_program(trace)
+        self.build_seconds += perf_counter() - start
+        self.functional_builds += 1
+        entries[signature] = program
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
+        return program
+
     def class_bundle(self, key: Tuple) -> "ClassBundle":
         """The shared :class:`ClassBundle` of one kernel identity."""
         bundle = self._bundles.get(key)
@@ -440,6 +465,7 @@ class ProgramPool:
 
     def clear(self, reset_stats: bool = False) -> None:
         self._entries.clear()
+        self._functional.clear()
         self._bundles.clear()
         self._signatures.clear()
         if reset_stats:
@@ -486,13 +512,11 @@ def pooled_timing_program(
     return _POOL.lookup(trace, signature, config)
 
 
-def pooled_functional_program(trace: Sequence[Instruction]) -> Optional["FunctionalProgram"]:
-    """Build a functional program, counting it in the pool's stats."""
-    start = perf_counter()
-    program = build_functional_program(trace)
-    _POOL.build_seconds += perf_counter() - start
-    _POOL.functional_builds += 1
-    return program
+def pooled_functional_program(
+    trace: Sequence[Instruction], signature: Tuple
+) -> Optional["FunctionalProgram"]:
+    """Build (or reuse) the functional program for a trace with known signature."""
+    return _POOL.functional(trace, signature)
 
 
 def pooled_class_bundle(key: Tuple) -> ClassBundle:

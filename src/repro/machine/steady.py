@@ -88,6 +88,17 @@ counter is an integer), shifts every moving line by ``m * p * d_lines``
 and every scoreboard/port timestamp by the period's cycle delta.  Verified
 ``(period, delta, digest)`` records persist in the artifact store so warm
 processes skip detection and go straight to the verification window.
+
+A record therefore engages exactly one period earlier than live
+detection.  Detection has to see the state twice, at an origin ``k0`` and
+again at ``k0 + p``, before its verify window starts; a record scan starts
+verifying at the first boundary whose digest matches the recorded one,
+``k0`` itself.  Counters are identical either way, but a record-mode pass
+elides one more period of bands: 40 instead of 32 on the period-8 LX2
+box2d25p cells ``hstencil`` 515x512, ``hstencil-prefetch`` 512x512 and
+``matrix-only`` 512x512.  :attr:`SteadyStats.elided_bands` (and with it
+``machine.steady.elided_band_frac``) thus depends on whether a record was
+available.
 """
 
 from __future__ import annotations
@@ -127,7 +138,13 @@ _N_RAW = 24
 
 @dataclass
 class SteadyStats:
-    """Run-level accounting for the steady-state controller."""
+    """Run-level accounting for the steady-state controller.
+
+    ``elided_bands`` depends on where the period came from: a pass in
+    ``record_mode`` engages one period earlier than live detection (see
+    the module doc), so it elides ``period`` more bands with identical
+    counters.
+    """
 
     detect_sigs: int = 0
     record_probes: int = 0

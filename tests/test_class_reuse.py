@@ -17,15 +17,17 @@ import pytest
 
 from repro.kernels.base import KernelOptions
 from repro.kernels.registry import make_kernel
-from repro.kernels.template import compile_stats, reset_compile_stats
+from repro.kernels.template import TraceCompiler, compile_stats, reset_compile_stats
 from repro.machine import compiled as compiled_mod
-from repro.machine.compiled import clear_program_pool
+from repro.machine.compiled import clear_program_pool, program_pool_stats
 from repro.machine.config import LX2, M4
 from repro.machine.functional import FunctionalEngine
 from repro.machine.memory import MemorySpace
 from repro.machine.timing import SimMode, TimingEngine
 from repro.stencils.grid import Grid2D
 from repro.stencils.library import benchmark
+from repro.stencils.reference import reference_stencil_2d
+from tests.helpers import assert_matches_reference
 
 MACHINES = {"LX2": LX2, "M4": M4}
 
@@ -172,3 +174,28 @@ def test_bundle_entries_share_the_pool_signature():
         for entry in bundle.classes.values():
             if entry is not None:
                 assert id(entry[3]) in pooled
+
+
+def test_equal_signatures_share_one_functional_program():
+    """Templates of different kernels with equal signatures get one pooled
+    functional program, lowered once, and both grids stay correct."""
+    programs = {}
+    templates = {}
+    for rows in (32, 40):
+        kernel, mem, dst = _kernel("hstencil", "LX2", rows=rows)
+        compiler = TraceCompiler(kernel)
+        for block in kernel.loop_nest():
+            entry = compiler.lookup(block)
+            if entry is not None:
+                template = entry[0]
+                templates.setdefault(template.signature, set()).add(template)
+                programs.setdefault(template.signature, set()).add(
+                    template.functional_program()
+                )
+        _grid(kernel, mem, dst)
+        assert_matches_reference(
+            dst.get_interior(), reference_stencil_2d(kernel.src.get_full(), kernel.spec)
+        )
+    assert any(len(group) > 1 for group in templates.values())
+    assert all(len(group) == 1 for group in programs.values())
+    assert program_pool_stats()["functional_builds"] == len(programs)

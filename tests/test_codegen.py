@@ -96,8 +96,8 @@ def test_timing_codegen_bit_identical(method, machine_name, stencil, rows, cols)
 
 
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
-def test_columnar_chunk_codegen_bit_identical(machine_name):
-    """Phase-P chunks replay through the scoreboard walk, still exactly."""
+def test_hstencil_star2d9p_codegen_bit_identical(machine_name):
+    """Sampled hstencil star2d9p on an odd 33x48 grid replays exactly."""
     args = ("hstencil", machine_name, "star2d9p", 33, 48)
     reference = _timed(*args, "reference")
     columnar = _timed(*args, "compiled")

@@ -96,6 +96,41 @@ def test_forced_demotion_falls_back_bit_identically(monkeypatch, method, machine
     assert columnar.to_dict() == reference.to_dict()
 
 
+def test_second_run_replays_from_the_scoreboard_memo(monkeypatch):
+    """A repeat run on one engine meets only recorded block contexts: it
+    adds no memo entry, walks no program, and its counters still equal
+    the reference walk, so the memo's hit path is exact across runs."""
+    reference = _sampled("hstencil", "LX2", "box2d9p", 37, 29, "reference")
+    kernel, config = _build("hstencil", "LX2", "box2d9p", 37, 29)
+    engine = TimingEngine(config, SimMode(engine="compiled"))
+    calls = {"phase": 0, "walk": 0}
+
+    def counted(name, method):
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    for name, attr in (("phase", "_phase_scoreboard"), ("walk", "_scoreboard_walk")):
+        monkeypatch.setattr(
+            ColumnarReplayer, attr, counted(name, getattr(ColumnarReplayer, attr))
+        )
+
+    def memo_entries():
+        return sum(len(table) for table in engine._columnar_share().memo.values())
+
+    first = engine.run(kernel, sample=True, plan=PLAN)
+    recorded = memo_entries()
+    assert recorded == calls["walk"] > 0
+    calls.update(phase=0, walk=0)
+    second = engine.run(kernel, sample=True, plan=PLAN)
+    assert calls["phase"] > 0 and calls["walk"] == 0
+    assert memo_entries() == recorded
+    assert first.to_dict() == reference.to_dict()
+    assert second.to_dict() == reference.to_dict()
+
+
 def test_probe_compares_static_watch_hits():
     """Steady verification windows engage on the watch count, so a
     columnar miscount of it must fail the probe like any other counter."""

@@ -221,6 +221,9 @@ def test_steady_record_round_trip(tmp_path):
         assert warm_stats.record_probes >= 1
         assert warm_stats.engaged >= 1
         assert second.to_dict() == first.to_dict()
+        # Record mode engages one period before live detection can.
+        (record,) = cold._steady_records.values()
+        assert warm_stats.elided_bands - cold_stats.elided_bands == record["period"]
     finally:
         install_artifact_store(None)
 
